@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "media/bitstream.h"
 #include "media/dct.h"
@@ -168,16 +171,32 @@ double blockMad(const std::vector<double>& a, const std::vector<double>& b,
   return n > 0 ? sum / n : 0.0;
 }
 
-/// Encodes one quantized, zigzagged block: DC delta then (run,level) pairs
-/// terminated by run=0 marker.
-void encodeBlock(const Block8x8& freq, const std::array<int, 64>& quant,
-                 int& dcPred, ByteWriter& w) {
+/// Quantizes a DCT block into zigzag-ordered integer coefficients.
+void quantizeBlock(const Block8x8& freq, const std::array<int, 64>& quant,
+                   int (&coeffs)[64]) {
   const auto& zz = zigzagOrder();
-  int coeffs[64];
   for (int i = 0; i < 64; ++i) {
     const double q = freq[zz[i]] / quant[zz[i]];
     coeffs[i] = static_cast<int>(std::lround(q));
   }
+}
+
+/// The decoder's dequantization of zigzag-ordered coefficients.  The
+/// encoder runs the same function on its own coefficients to rebuild its
+/// closed-loop reference, so both sides see identical doubles.
+Block8x8 dequantizeBlock(const int (&coeffs)[64],
+                         const std::array<int, 64>& quant) {
+  const auto& zz = zigzagOrder();
+  Block8x8 freq{};
+  for (int i = 0; i < 64; ++i) {
+    freq[zz[i]] = static_cast<double>(coeffs[i]) * quant[zz[i]];
+  }
+  return freq;
+}
+
+/// Encodes one block's zigzagged coefficients: DC delta then (run,level)
+/// pairs terminated by run=0 marker.
+void encodeBlock(const int (&coeffs)[64], int& dcPred, ByteWriter& w) {
   w.svarint(coeffs[0] - dcPred);
   dcPred = coeffs[0];
   int run = 0;
@@ -193,54 +212,126 @@ void encodeBlock(const Block8x8& freq, const std::array<int, 64>& quant,
   w.varint(0);  // end of block
 }
 
+/// Narrows a decoded value to int; throws if it does not fit.
+int checkedInt(std::int64_t v, const char* what) {
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw std::runtime_error(std::string("codec: ") + what + " out of range");
+  }
+  return static_cast<int>(v);
+}
+
 Block8x8 decodeBlock(const std::array<int, 64>& quant, int& dcPred,
                      ByteReader& r) {
-  const auto& zz = zigzagOrder();
   int coeffs[64] = {};
-  dcPred += static_cast<int>(r.svarint());
+  const std::int64_t dcDelta = r.svarint();
+  // Both operands are checked to fit in int first, so the 64-bit sum
+  // cannot overflow; the sum itself must fit too.
+  dcPred = checkedInt(checkedInt(dcDelta, "DC delta") +
+                          static_cast<std::int64_t>(dcPred),
+                      "DC prediction");
   coeffs[0] = dcPred;
   int pos = 0;
   for (;;) {
     const std::uint64_t marker = r.varint();
     if (marker == 0) break;  // EOB
-    pos += static_cast<int>(marker);  // marker = run+1 -> advance past zeros
-    if (pos > 63) throw std::runtime_error("codec: coefficient overrun");
-    coeffs[pos] = static_cast<int>(r.svarint());
+    // marker = run+1 -> advance past zeros; it may at most reach slot 63.
+    if (marker > static_cast<std::uint64_t>(63 - pos)) {
+      throw std::runtime_error("codec: coefficient overrun");
+    }
+    pos += static_cast<int>(marker);
+    coeffs[pos] = checkedInt(r.svarint(), "coefficient");
   }
-  Block8x8 freq{};
-  for (int i = 0; i < 64; ++i) {
-    freq[zz[i]] = static_cast<double>(coeffs[i]) * quant[zz[i]];
-  }
-  return freq;
+  return dequantizeBlock(coeffs, quant);
 }
 
 void checkFrameGeometry(const Image& frame) {
   if (frame.empty()) throw std::invalid_argument("codec: empty frame");
 }
 
+/// Starts a frame payload: quality byte, frame type byte.
+ByteWriter frameHeader(const CodecConfig& cfg, std::uint8_t frameType) {
+  ByteWriter out;
+  out.u8(static_cast<std::uint8_t>(cfg.quality));
+  out.u8(frameType);
+  return out;
+}
+
+/// Sizes `recon` (when non-null) to hold a w x h reconstruction.
+void prepareRecon(Planes* recon, int w, int h) {
+  if (recon == nullptr) return;
+  for (auto& p : *recon) p.resize(static_cast<std::size_t>(w) * h);
+}
+
+/// Intra-codes every block of `planes`.  When `recon` is non-null it
+/// receives the planes the decoder will rebuild, computed from the same
+/// quantized coefficients the bytes carry.
+void encodeIntraPlanes(const Planes& planes, int w, int h,
+                       const std::array<int, 64>& quant, ByteWriter& out,
+                       Planes* recon) {
+  prepareRecon(recon, w, h);
+  const int bw = blocksAcross(w);
+  const int bh = blocksAcross(h);
+  for (int p = 0; p < 3; ++p) {
+    int dcPred = 0;
+    for (int by = 0; by < bh; ++by) {
+      for (int bx = 0; bx < bw; ++bx) {
+        int coeffs[64];
+        quantizeBlock(forwardDct(fetchBlock(planes[p], w, h, bx, by, 128.0)),
+                      quant, coeffs);
+        encodeBlock(coeffs, dcPred, out);
+        if (recon != nullptr) {
+          storeBlock(inverseDct(dequantizeBlock(coeffs, quant)), (*recon)[p],
+                     w, h, bx, by, 128.0);
+        }
+      }
+    }
+  }
+}
+
+/// Inter-codes `cur` against the reference planes `ref` (SKIP or DELTA per
+/// block); `recon` as for encodeIntraPlanes.
+void encodeInterPlanes(const Planes& cur, const Planes& ref, int w, int h,
+                       const std::array<int, 64>& quant, double skipThreshold,
+                       ByteWriter& out, Planes* recon) {
+  prepareRecon(recon, w, h);
+  const int bw = blocksAcross(w);
+  const int bh = blocksAcross(h);
+  for (int p = 0; p < 3; ++p) {
+    int dcPred = 0;
+    for (int by = 0; by < bh; ++by) {
+      for (int bx = 0; bx < bw; ++bx) {
+        const double mad = blockMad(cur[p], ref[p], w, h, bx, by);
+        if (mad < skipThreshold) {
+          out.u8(kBlockSkip);
+          if (recon != nullptr) copyBlock(ref[p], (*recon)[p], w, h, bx, by);
+          continue;
+        }
+        out.u8(kBlockDelta);
+        // Residual block: cur - ref (no 128 offset on residuals).
+        Block8x8 residual = fetchBlock(cur[p], w, h, bx, by, 0.0);
+        const Block8x8 refBlk = fetchBlock(ref[p], w, h, bx, by, 0.0);
+        for (int i = 0; i < 64; ++i) residual[i] -= refBlk[i];
+        int coeffs[64];
+        quantizeBlock(forwardDct(residual), quant, coeffs);
+        encodeBlock(coeffs, dcPred, out);
+        if (recon != nullptr) {
+          addBlock(inverseDct(dequantizeBlock(coeffs, quant)), ref[p],
+                   (*recon)[p], w, h, bx, by);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
   checkFrameGeometry(frame);
-  const int w = frame.width();
-  const int h = frame.height();
   const auto quant = quantMatrix(cfg.quality);
-  const Planes planes = toPlanes(frame);
-
-  ByteWriter out;
-  out.u8(static_cast<std::uint8_t>(cfg.quality));
-  out.u8(kFrameIntra);
-  const int bw = blocksAcross(w);
-  const int bh = blocksAcross(h);
-  for (const auto& plane : planes) {
-    int dcPred = 0;
-    for (int by = 0; by < bh; ++by) {
-      for (int bx = 0; bx < bw; ++bx) {
-        encodeBlock(forwardDct(fetchBlock(plane, w, h, bx, by, 128.0)), quant,
-                    dcPred, out);
-      }
-    }
-  }
+  ByteWriter out = frameHeader(cfg, kFrameIntra);
+  encodeIntraPlanes(toPlanes(frame), frame.width(), frame.height(), quant,
+                    out, nullptr);
   return EncodedFrame{out.take(), /*intra=*/true};
 }
 
@@ -251,35 +342,10 @@ EncodedFrame encodePFrame(const Image& frame, const Image& reference,
       reference.height() != frame.height()) {
     throw std::invalid_argument("encodePFrame: reference geometry mismatch");
   }
-  const int w = frame.width();
-  const int h = frame.height();
   const auto quant = quantMatrix(cfg.quality);
-  const Planes cur = toPlanes(frame);
-  const Planes ref = toPlanes(reference);
-
-  ByteWriter out;
-  out.u8(static_cast<std::uint8_t>(cfg.quality));
-  out.u8(kFrameInter);
-  const int bw = blocksAcross(w);
-  const int bh = blocksAcross(h);
-  for (int p = 0; p < 3; ++p) {
-    int dcPred = 0;
-    for (int by = 0; by < bh; ++by) {
-      for (int bx = 0; bx < bw; ++bx) {
-        const double mad = blockMad(cur[p], ref[p], w, h, bx, by);
-        if (mad < cfg.skipThreshold) {
-          out.u8(kBlockSkip);
-          continue;
-        }
-        out.u8(kBlockDelta);
-        // Residual block: cur - ref (no 128 offset on residuals).
-        Block8x8 residual = fetchBlock(cur[p], w, h, bx, by, 0.0);
-        const Block8x8 refBlk = fetchBlock(ref[p], w, h, bx, by, 0.0);
-        for (int i = 0; i < 64; ++i) residual[i] -= refBlk[i];
-        encodeBlock(forwardDct(residual), quant, dcPred, out);
-      }
-    }
-  }
+  ByteWriter out = frameHeader(cfg, kFrameInter);
+  encodeInterPlanes(toPlanes(frame), toPlanes(reference), frame.width(),
+                    frame.height(), quant, cfg.skipThreshold, out, nullptr);
   return EncodedFrame{out.take(), /*intra=*/false};
 }
 
@@ -340,6 +406,7 @@ Image decodeFrame(const EncodedFrame& frame, int width, int height,
 
 EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   validateClip(clip);
+  checkFrameGeometry(clip.frames.front());
   if (cfg.gopLength < 1) {
     throw std::invalid_argument("encodeClip: gopLength must be >= 1");
   }
@@ -352,16 +419,32 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   out.frames.reserve(clip.frames.size());
 
   // Closed-loop encoding: P frames reference the previous DECODED frame so
-  // the decoder never drifts.
-  Image decodedRef;
+  // the decoder never drifts.  The encoder rebuilds that frame itself, from
+  // the quantized coefficients it has just coded (the decoder's exact
+  // dequantize + inverse DCT + colour steps), and only when a P frame
+  // follows -- intra-only streams never reconstruct at all.
+  const auto quant = quantMatrix(cfg.quality);
+  const auto gop = static_cast<std::size_t>(cfg.gopLength);
+  const int w = out.width;
+  const int h = out.height;
+  Planes ref;    // planes of the previous decoded frame
+  Planes recon;  // this frame's reconstruction, while one is needed
   for (std::size_t i = 0; i < clip.frames.size(); ++i) {
-    const bool intra = (i % static_cast<std::size_t>(cfg.gopLength)) == 0;
-    EncodedFrame enc =
-        intra ? encodeFrame(clip.frames[i], cfg)
-              : encodePFrame(clip.frames[i], decodedRef, cfg);
-    decodedRef = decodeFrame(enc, out.width, out.height,
-                             intra ? nullptr : &decodedRef);
-    out.frames.push_back(std::move(enc));
+    const bool intra = i % gop == 0;
+    const bool nextInter = i + 1 < clip.frames.size() && (i + 1) % gop != 0;
+    Planes* reconOut = nextInter ? &recon : nullptr;
+    const Planes cur = toPlanes(clip.frames[i]);
+    ByteWriter bytes = frameHeader(cfg, intra ? kFrameIntra : kFrameInter);
+    if (intra) {
+      encodeIntraPlanes(cur, w, h, quant, bytes, reconOut);
+    } else {
+      encodeInterPlanes(cur, ref, w, h, quant, cfg.skipThreshold, bytes,
+                        reconOut);
+    }
+    out.frames.push_back(EncodedFrame{bytes.take(), intra});
+    // The decoder holds the reference as 8-bit RGB, so round-trip through
+    // it before the next frame measures and codes against it.
+    if (nextInter) ref = toPlanes(fromPlanes(recon, w, h));
   }
   return out;
 }

@@ -17,6 +17,14 @@
 //               residual).  Dark/static scenes produce tiny P frames, which
 //               is exactly the size variation the annotation-driven DVFS and
 //               NIC-scheduling experiments exploit.
+//
+// Closed loop: a P frame is coded against the frame the DECODER will hold,
+// not the source.  encodeClip builds that reference inside the encoder from
+// the quantized coefficients it has just coded -- the decoder's own
+// dequantize, inverse DCT and colour conversion on the same doubles, so it
+// is bit-exact by construction -- and only when the next frame is a P
+// frame.  Intra-only clips (gopLength = 1, the serving default) never
+// reconstruct at all, and encodeClip never calls decodeFrame.
 #pragma once
 
 #include <cstdint>
@@ -68,7 +76,8 @@ struct EncodedClip {
                                        const CodecConfig& cfg = {});
 
 /// Encodes one RGB frame as a P frame against `reference` (the previous
-/// DECODED frame, so encoder and decoder stay in sync).
+/// DECODED frame, so encoder and decoder stay in sync).  encodeClip builds
+/// that reference itself; this entry point takes it from the caller.
 [[nodiscard]] EncodedFrame encodePFrame(const Image& frame,
                                         const Image& reference,
                                         const CodecConfig& cfg = {});

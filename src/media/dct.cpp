@@ -1,73 +1,22 @@
 #include "media/dct.h"
 
-#include <cmath>
+#include <algorithm>
+
+#include "media/kernels/kernels.h"
 
 namespace anno::media {
-namespace {
 
-constexpr double kPi = 3.14159265358979323846;
-
-/// Cosine basis table: cosTable[k][n] = c(k) * cos((2n+1) k pi / 16) where
-/// c(0)=sqrt(1/8), c(k>0)=sqrt(2/8).  Built once.
-struct CosTable {
-  double t[8][8];
-  CosTable() {
-    for (int k = 0; k < 8; ++k) {
-      const double ck = k == 0 ? std::sqrt(1.0 / 8.0) : std::sqrt(2.0 / 8.0);
-      for (int n = 0; n < 8; ++n) {
-        t[k][n] = ck * std::cos((2.0 * n + 1.0) * k * kPi / 16.0);
-      }
-    }
-  }
-};
-
-const CosTable& cosTable() {
-  static const CosTable table;
-  return table;
-}
-
-}  // namespace
-
+// The transform pair lives in the SIMD kernel layer, where every dispatch
+// level is bit-identical to the scalar reference loops.
 Block8x8 forwardDct(const Block8x8& spatial) {
-  const auto& C = cosTable().t;
-  // Separable: rows then columns.
-  Block8x8 tmp{};
-  for (int y = 0; y < 8; ++y) {
-    for (int k = 0; k < 8; ++k) {
-      double acc = 0.0;
-      for (int x = 0; x < 8; ++x) acc += spatial[y * 8 + x] * C[k][x];
-      tmp[y * 8 + k] = acc;
-    }
-  }
   Block8x8 out{};
-  for (int k = 0; k < 8; ++k) {
-    for (int j = 0; j < 8; ++j) {
-      double acc = 0.0;
-      for (int y = 0; y < 8; ++y) acc += tmp[y * 8 + k] * C[j][y];
-      out[j * 8 + k] = acc;
-    }
-  }
+  kernels::active().forwardDct8x8(spatial.data(), out.data());
   return out;
 }
 
 Block8x8 inverseDct(const Block8x8& freq) {
-  const auto& C = cosTable().t;
-  Block8x8 tmp{};
-  for (int j = 0; j < 8; ++j) {
-    for (int x = 0; x < 8; ++x) {
-      double acc = 0.0;
-      for (int k = 0; k < 8; ++k) acc += freq[j * 8 + k] * C[k][x];
-      tmp[j * 8 + x] = acc;
-    }
-  }
   Block8x8 out{};
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      double acc = 0.0;
-      for (int j = 0; j < 8; ++j) acc += tmp[j * 8 + x] * C[j][y];
-      out[y * 8 + x] = acc;
-    }
-  }
+  kernels::active().inverseDct8x8(freq.data(), out.data());
   return out;
 }
 

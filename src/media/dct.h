@@ -13,7 +13,9 @@ namespace anno::media {
 /// One 8x8 block of coefficients or samples, row-major.
 using Block8x8 = std::array<double, 64>;
 
-/// Forward 8x8 DCT-II with orthonormal scaling.
+/// Forward 8x8 DCT-II with orthonormal scaling.  Both transforms dispatch
+/// through the active media::kernels table; every level returns the same
+/// bits as the scalar reference.
 [[nodiscard]] Block8x8 forwardDct(const Block8x8& spatial);
 
 /// Inverse 8x8 DCT (DCT-III) with orthonormal scaling; exact inverse of

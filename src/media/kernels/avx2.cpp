@@ -7,7 +7,9 @@
 // scalar double sequence ((cR*r + cG*g) + cB*b) with explicit mul/add
 // intrinsics (no FMA contraction possible), truncating conversions
 // matching the scalar casts, and exact integer reductions everywhere else.
-// See kernels.h and DESIGN.md sec. 12.
+// The DCT pair runs four output coefficients per vector, each lane keeping
+// its output's scalar product-and-sum order.  See kernels.h and DESIGN.md
+// sec. 12.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
@@ -414,6 +416,41 @@ int highPointAvx2(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
+/// out = a x b for row-major 8x8 matrices, four output columns per vector:
+/// each output accumulates a[r][i] * b[i][col] from 0.0 over ascending i,
+/// the scalar DCT loop's order.  `out` must not alias `a` or `b`.
+inline void matmul8x8(const double* a, const double* b, double* out) {
+  for (int r = 0; r < 8; ++r) {
+    __m256d lo = _mm256_setzero_pd();
+    __m256d hi = _mm256_setzero_pd();
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      const __m256d s = _mm256_broadcast_sd(a + r * 8 + i);
+      lo = _mm256_add_pd(lo, _mm256_mul_pd(s, _mm256_loadu_pd(b + i * 8)));
+      hi = _mm256_add_pd(hi,
+                         _mm256_mul_pd(s, _mm256_loadu_pd(b + i * 8 + 4)));
+    }
+    _mm256_storeu_pd(out + r * 8, lo);
+    _mm256_storeu_pd(out + r * 8 + 4, hi);
+  }
+}
+
+// Forward: tmp = in x C^T (rows), out = C x tmp (columns).  Inverse:
+// tmp = in x C, out = C^T x tmp.  Same products, same order as scalar.
+void forwardDct8x8Avx2(const double* in, double* out) {
+  const detail::DctTables& t = detail::dctTables();
+  alignas(32) double tmp[64];
+  matmul8x8(in, &t.ct[0][0], tmp);
+  matmul8x8(&t.c[0][0], tmp, out);
+}
+
+void inverseDct8x8Avx2(const double* in, double* out) {
+  const detail::DctTables& t = detail::dctTables();
+  alignas(32) double tmp[64];
+  matmul8x8(in, &t.c[0][0], tmp);
+  matmul8x8(&t.ct[0][0], tmp, out);
+}
+
 }  // namespace
 
 const KernelTable& avx2Table() noexcept {
@@ -422,6 +459,7 @@ const KernelTable& avx2Table() noexcept {
       maxChannelHistogramAvx2, lumaPlaneAvx2, histAccumulateAvx2,
       emdNumeratorAvx2,    scalePixelsAvx2,   countClippedAvx2,
       tailBudgetLevelAvx2, lowPointAvx2,      highPointAvx2,
+      forwardDct8x8Avx2,   inverseDct8x8Avx2,
   };
   return kTable;
 }

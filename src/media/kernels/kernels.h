@@ -2,8 +2,9 @@
 //
 // Every frame served by this repo funnels through a handful of tight loops:
 // luma extraction, 256-bin histogram build, min/max/sum stats, the
-// compensation transform C' = min(1, C*k), clipped-pixel counting, and the
-// per-frame histogram earth-mover's distance of the EMD scene detector.
+// compensation transform C' = min(1, C*k), clipped-pixel counting, the
+// per-frame histogram earth-mover's distance of the EMD scene detector, and
+// the codec's 8x8 forward/inverse DCT.
 // This layer provides one scalar reference implementation per kernel plus
 // SSE2/AVX2 (x86-64) and NEON (aarch64) variants behind a single dispatch
 // table selected once at startup via CPUID.
@@ -20,6 +21,12 @@
 //   * Integer kernels (histogram build/merge, EMD numerator, tail scans,
 //     clipped counting) are exact, so accumulation order is irrelevant and
 //     any lane decomposition gives the same result.
+//   * The 8x8 DCT pair vectorizes ACROSS outputs: each lane is one output
+//     coefficient (or sample), accumulated from 0.0 over its eight products
+//     in ascending index order with separate multiplies and adds, exactly
+//     as the scalar loop does.  Only the cosine operand is transposed or
+//     broadcast, and IEEE multiplication is commutative, so every output
+//     rounds identically.  NEON points at the scalar pair.
 //   * The EMD kernel computes an exact integer numerator
 //         sum_v | cdfA(v)*totalB - cdfB(v)*totalA |
 //     and performs a SINGLE final floating divide by totalA*totalB, so
@@ -108,6 +115,12 @@ struct KernelTable {
   int (*lowPoint)(const std::uint64_t* counts, std::uint64_t budget);
   /// First v from 255 downward with cumulative count > budget, else 0.
   int (*highPoint)(const std::uint64_t* counts, std::uint64_t budget);
+
+  /// (6) Separable orthonormal 8x8 DCT pair over row-major blocks of 64
+  /// doubles: forward DCT-II (rows, then columns) and inverse DCT-III.
+  /// `in` and `out` may alias.
+  void (*forwardDct8x8)(const double* in, double* out);
+  void (*inverseDct8x8)(const double* in, double* out);
 };
 
 /// Smallest 8-bit channel code whose clamp-scale by k (k >= 0) clips, or

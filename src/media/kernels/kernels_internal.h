@@ -27,6 +27,21 @@ namespace anno::media::kernels {
 
 namespace anno::media::kernels::detail {
 
+/// Cosine basis of the 8x8 DCT: c[k][n] = c(k) * cos((2n+1) k pi / 16) with
+/// c(0) = sqrt(1/8), c(k>0) = sqrt(2/8), and its transpose ct[n][k] =
+/// c[k][n] (an exact copy) for kernels whose lanes run along k.  Built once,
+/// in scalar.cpp, so every variant multiplies by the same doubles.
+struct DctTables {
+  alignas(32) double c[8][8];
+  alignas(32) double ct[8][8];
+};
+[[nodiscard]] const DctTables& dctTables() noexcept;
+
+/// The scalar DCT pair (defined in scalar.cpp): the reference every variant
+/// matches bit-for-bit, and the NEON table's entries.
+void forwardDct8x8Reference(const double* in, double* out);
+void inverseDct8x8Reference(const double* in, double* out);
+
 /// Accumulates `n` RGB pixels into an in-progress profile.  `minAcc` /
 /// `maxAcc` are int running values (255 / 0 sentinels when empty) so the
 /// caller can fold vector-phase partials in before the tail.

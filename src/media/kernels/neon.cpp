@@ -243,6 +243,8 @@ const KernelTable& neonTable() noexcept {
       maxChannelHistogramNeon, lumaPlaneNeon, histAccumulateNeon,
       emdNumeratorNeon,    scalePixelsNeon,   countClippedNeon,
       tailBudgetLevelNeon, lowPointNeon,      highPointNeon,
+      // No NEON DCT pair: the scalar reference is the tested path.
+      detail::forwardDct8x8Reference, detail::inverseDct8x8Reference,
   };
   return kTable;
 }

@@ -5,7 +5,8 @@
 // through the exact scalar operation sequence, two pixels per vector; the
 // integer kernels are exact.  Clipped counting compares bytes against a
 // threshold derived from the scalar predicate (detail::clipThreshold), so
-// it reproduces the per-pixel double comparison on every input.
+// it reproduces the per-pixel double comparison on every input.  The DCT
+// pair runs two output coefficients per vector in the scalar order.
 //
 // This TU is compiled WITHOUT extra ISA flags: SSE2 is part of the x86-64
 // ABI, so the intrinsics below are always available here.
@@ -221,6 +222,47 @@ int highPointSse2(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
+/// out = a x b for row-major 8x8 matrices, two output columns per vector:
+/// each output accumulates a[r][i] * b[i][col] from 0.0 over ascending i,
+/// the scalar DCT loop's order.  `out` must not alias `a` or `b`.
+inline void matmul8x8(const double* a, const double* b, double* out) {
+  for (int r = 0; r < 8; ++r) {
+    __m128d acc0 = _mm_setzero_pd();
+    __m128d acc1 = _mm_setzero_pd();
+    __m128d acc2 = _mm_setzero_pd();
+    __m128d acc3 = _mm_setzero_pd();
+#pragma GCC unroll 8
+    for (int i = 0; i < 8; ++i) {
+      const __m128d s = _mm_set1_pd(a[r * 8 + i]);
+      const double* row = b + i * 8;
+      acc0 = _mm_add_pd(acc0, _mm_mul_pd(s, _mm_loadu_pd(row)));
+      acc1 = _mm_add_pd(acc1, _mm_mul_pd(s, _mm_loadu_pd(row + 2)));
+      acc2 = _mm_add_pd(acc2, _mm_mul_pd(s, _mm_loadu_pd(row + 4)));
+      acc3 = _mm_add_pd(acc3, _mm_mul_pd(s, _mm_loadu_pd(row + 6)));
+    }
+    _mm_storeu_pd(out + r * 8, acc0);
+    _mm_storeu_pd(out + r * 8 + 2, acc1);
+    _mm_storeu_pd(out + r * 8 + 4, acc2);
+    _mm_storeu_pd(out + r * 8 + 6, acc3);
+  }
+}
+
+// Forward: tmp = in x C^T (rows), out = C x tmp (columns).  Inverse:
+// tmp = in x C, out = C^T x tmp.  Same products, same order as scalar.
+void forwardDct8x8Sse2(const double* in, double* out) {
+  const detail::DctTables& t = detail::dctTables();
+  alignas(16) double tmp[64];
+  matmul8x8(in, &t.ct[0][0], tmp);
+  matmul8x8(&t.c[0][0], tmp, out);
+}
+
+void inverseDct8x8Sse2(const double* in, double* out) {
+  const detail::DctTables& t = detail::dctTables();
+  alignas(16) double tmp[64];
+  matmul8x8(in, &t.c[0][0], tmp);
+  matmul8x8(&t.ct[0][0], tmp, out);
+}
+
 }  // namespace
 
 const KernelTable& sse2Table() noexcept {
@@ -229,6 +271,7 @@ const KernelTable& sse2Table() noexcept {
       maxChannelHistogramSse2, lumaPlaneSse2, histAccumulateSse2,
       emdNumeratorSse2,    scalePixelsSse2,   countClippedSse2,
       tailBudgetLevelSse2, lowPointSse2,      highPointSse2,
+      forwardDct8x8Sse2,   inverseDct8x8Sse2,
   };
   return kTable;
 }

@@ -2,16 +2,21 @@
 // must produce output BYTE-IDENTICAL to the scalar reference, on every
 // input shape that exercises a different code path -- ragged tails (sizes
 // not divisible by any vector width), empty and 1-pixel frames, full
-// saturation, and randomized content.  See kernels.h for the contract.
+// saturation, and randomized content -- and the 8x8 DCT pair over 100k
+// seeded blocks.  See kernels.h for the contract.
 #include "media/kernels/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <numbers>
 #include <vector>
 
 #include "compensate/compensate.h"
+#include "media/dct.h"
 #include "media/histogram.h"
 #include "media/image.h"
 #include "media/luminance.h"
@@ -409,6 +414,114 @@ TEST(Kernels, EarthMoversBitIdenticalAcrossLevels) {
   }
 }
 
+/// One seeded 8x8 block of the kind `kind` selects: the shapes the codec
+/// feeds the DCT pair (intra samples, residuals, dequantized coefficient
+/// blocks that are mostly zero) plus the edges of the double range the
+/// contract must hold on (signed zeros, +-2^20 magnitudes, wide exponents).
+Block8x8 dctBlock(int kind, SplitMix64& rng) {
+  Block8x8 b{};
+  switch (kind) {
+    case 0:  // intra samples minus the 128 offset
+      for (double& v : b) v = static_cast<double>(rng.below(256)) - 128.0;
+      break;
+    case 1:  // residuals
+      for (double& v : b) v = rng.uniform(-255.0, 255.0);
+      break;
+    case 2: {  // dequantized coefficients: a few nonzero level * quant
+      const int nonzero = static_cast<int>(rng.below(6));
+      for (int i = 0; i < nonzero; ++i) {
+        const double level = static_cast<double>(rng.below(41)) - 20.0;
+        const double quant = static_cast<double>(1 + rng.below(255));
+        b[rng.below(64)] = level * quant;
+      }
+      break;
+    }
+    case 3: {  // signed zeros, sometimes with one value among them
+      // Mode 3 signs each zero against basis row k, so every product
+      // of that row is -0.0: only a sum that starts from +0.0 (as the
+      // scalar loop does) yields +0.0 there.
+      const std::uint64_t mode = rng.below(4);
+      const int k = static_cast<int>(rng.below(8));
+      for (int i = 0; i < 64; ++i) {
+        const double basis =
+            std::cos((2.0 * (i % 8) + 1.0) * k * std::numbers::pi / 16.0);
+        b[i] = mode == 0   ? -0.0
+               : mode == 1 ? 0.0
+               : mode == 2 ? (rng.below(2) == 0 ? 0.0 : -0.0)
+                           : (basis > 0.0 ? -0.0 : 0.0);
+      }
+      if (rng.below(2) == 0) b[rng.below(64)] = rng.uniform(-4.0, 4.0);
+      break;
+    }
+    case 4:  // +-2^20 magnitudes
+      for (double& v : b) {
+        const double sign = rng.below(2) == 0 ? 1.0 : -1.0;
+        v = rng.below(4) == 0 ? sign * 1048576.0
+                              : sign * rng.uniform(0.5, 1.0) * 1048576.0;
+      }
+      break;
+    default:  // wide exponent range
+      for (double& v : b) {
+        const int exp = static_cast<int>(rng.below(61)) - 30;
+        v = std::ldexp(rng.uniform(-1.0, 1.0), exp);
+      }
+      break;
+  }
+  return b;
+}
+
+TEST(Kernels, DctPairMatchesScalarBitForBit) {
+  // Lanes are outputs and each output keeps the scalar summation order, so
+  // every level must reproduce the scalar bits exactly (memcmp: signed
+  // zeros included) on every block.
+  const KernelTable* scalar = tableFor(Level::kScalar);
+  const std::vector<Level> levels = availableLevels();
+  SplitMix64 rng(0xDC7);
+  constexpr int kBlocks = 100000;
+  constexpr int kKinds = 6;
+  std::size_t mismatches = 0;
+  for (int i = 0; i < kBlocks; ++i) {
+    const Block8x8 in = dctBlock(i % kKinds, rng);
+    Block8x8 wantF;
+    Block8x8 wantI;
+    scalar->forwardDct8x8(in.data(), wantF.data());
+    scalar->inverseDct8x8(in.data(), wantI.data());
+    for (Level level : levels) {
+      const KernelTable* table = tableFor(level);
+      Block8x8 gotF;
+      Block8x8 gotI;
+      table->forwardDct8x8(in.data(), gotF.data());
+      table->inverseDct8x8(in.data(), gotI.data());
+      const bool same =
+          std::memcmp(gotF.data(), wantF.data(), sizeof wantF) == 0 &&
+          std::memcmp(gotI.data(), wantI.data(), sizeof wantI) == 0;
+      if (!same && mismatches++ < 5) {
+        ADD_FAILURE() << levelName(level) << " diverges on block " << i
+                      << " (kind " << i % kKinds << ")";
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Kernels, DctPairInPlaceMatchesOutOfPlace) {
+  SplitMix64 rng(0xA11A5);
+  for (Level level : availableLevels()) {
+    const KernelTable* table = tableFor(level);
+    for (int kind = 0; kind < 6; ++kind) {
+      const Block8x8 in = dctBlock(kind, rng);
+      for (auto fn : {table->forwardDct8x8, table->inverseDct8x8}) {
+        Block8x8 want;
+        fn(in.data(), want.data());
+        Block8x8 inPlace = in;
+        fn(inPlace.data(), inPlace.data());
+        EXPECT_EQ(std::memcmp(inPlace.data(), want.data(), sizeof want), 0)
+            << levelName(level) << " kind " << kind;
+      }
+    }
+  }
+}
+
 TEST(Kernels, ScopedLevelSwapsAndRestores) {
   const Level before = activeLevel();
   {
@@ -432,11 +545,17 @@ TEST(Kernels, PublicApiIdenticalUnderEveryLevel) {
     FrameLuminance lum;
     GrayImage plane;
     double clipped;
+    Block8x8 fdct;
+    Block8x8 idct;
   };
-  auto snapshot = [&img] {
+  Block8x8 block;
+  SplitMix64 rng(5);
+  for (double& v : block) v = rng.uniform(-128.0, 127.0);
+  auto snapshot = [&img, &block] {
     return Snapshot{Histogram::ofImage(img), Histogram::ofMaxChannel(img),
-                    analyzeLuminance(img), lumaPlane(img),
-                    compensate::clippedFraction(img, 1.9)};
+                    analyzeLuminance(img),   lumaPlane(img),
+                    compensate::clippedFraction(img, 1.9),
+                    forwardDct(block),       inverseDct(block)};
   };
   const Snapshot want = [&] {
     ScopedLevel guard(Level::kScalar);
@@ -451,6 +570,12 @@ TEST(Kernels, PublicApiIdenticalUnderEveryLevel) {
     EXPECT_TRUE(std::ranges::equal(got.plane.pixels(), want.plane.pixels()))
         << levelName(level);
     EXPECT_EQ(got.clipped, want.clipped) << levelName(level);
+    EXPECT_EQ(std::memcmp(got.fdct.data(), want.fdct.data(), sizeof want.fdct),
+              0)
+        << levelName(level);
+    EXPECT_EQ(std::memcmp(got.idct.data(), want.idct.data(), sizeof want.idct),
+              0)
+        << levelName(level);
   }
 }
 
