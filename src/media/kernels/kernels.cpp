@@ -20,8 +20,6 @@ Level bestLevel() noexcept {
     return Level::kAvx2;
   }
   return Level::kSse2;  // x86-64 baseline
-#elif defined(__aarch64__)
-  return Level::kNeon;  // Advanced SIMD is mandatory on aarch64
 #else
   return Level::kScalar;
 #endif
@@ -113,7 +111,7 @@ const KernelTable* tableFor(Level level) noexcept {
                  : nullptr;
 #elif defined(__aarch64__)
     case Level::kNeon:
-      return &neonTable();
+      return &scalarTable();  // no NEON code: the level runs scalar
 #endif
     default:
       return nullptr;

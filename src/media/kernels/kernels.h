@@ -6,8 +6,9 @@
 // per-frame histogram earth-mover's distance of the EMD scene detector, and
 // the codec's 8x8 forward/inverse DCT.
 // This layer provides one scalar reference implementation per kernel plus
-// SSE2/AVX2 (x86-64) and NEON (aarch64) variants behind a single dispatch
-// table selected once at startup via CPUID.
+// SSE2/AVX2 (x86-64) variants behind a single dispatch table selected once
+// at startup via CPUID.  There is no NEON code: the `neon` level exists so
+// the spelling parses everywhere, and on aarch64 it runs the scalar table.
 //
 // THE BIT-IDENTICAL CONTRACT (DESIGN.md sec. 12): every variant of every
 // kernel produces output byte-identical to the scalar reference, on every
@@ -26,7 +27,7 @@
 //     in ascending index order with separate multiplies and adds, exactly
 //     as the scalar loop does.  Only the cosine operand is transposed or
 //     broadcast, and IEEE multiplication is commutative, so every output
-//     rounds identically.  NEON points at the scalar pair.
+//     rounds identically.
 //   * The EMD kernel computes an exact integer numerator
 //         sum_v | cdfA(v)*totalB - cdfB(v)*totalA |
 //     and performs a SINGLE final floating divide by totalA*totalB, so
@@ -56,7 +57,8 @@ namespace anno::media::kernels {
 using Uint128 = unsigned __int128;
 
 /// Dispatch levels, worst to best.  kSse2 and kAvx2 exist only on x86-64
-/// builds, kNeon only on aarch64; kScalar always exists.
+/// builds; kNeon is available only on aarch64, where it resolves to the
+/// scalar table; kScalar always exists.
 enum class Level : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
 inline constexpr std::size_t kLevelCount = 4;
 

@@ -19,8 +19,6 @@ namespace anno::media::kernels {
 #if defined(__x86_64__) || defined(_M_X64)
 [[nodiscard]] const KernelTable& sse2Table() noexcept;
 [[nodiscard]] const KernelTable& avx2Table() noexcept;
-#elif defined(__aarch64__)
-[[nodiscard]] const KernelTable& neonTable() noexcept;
 #endif
 
 }  // namespace anno::media::kernels
@@ -38,7 +36,7 @@ struct DctTables {
 [[nodiscard]] const DctTables& dctTables() noexcept;
 
 /// The scalar DCT pair (defined in scalar.cpp): the reference every variant
-/// matches bit-for-bit, and the NEON table's entries.
+/// matches bit-for-bit.
 void forwardDct8x8Reference(const double* in, double* out);
 void inverseDct8x8Reference(const double* in, double* out);
 

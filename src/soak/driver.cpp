@@ -332,13 +332,14 @@ FleetSoakReport runSoak(const SoakConfig& cfg) {
       faultClients[plan.deviceClass] = std::make_unique<stream::ClientSession>(
           clientCfg, stream::makeReferencePath());
     }
-    // The exact bytes this session streamed (serve memo: no recompute).
-    const std::vector<std::uint8_t> bytes =
-        server.serve(profiles[plan.contentProfile].name,
-                     classCaps[plan.deviceClass], mix.tenants[plan.tenant]);
+    // The exact bytes this session streamed (serve memo: no recompute, no
+    // copy).
+    const stream::SharedStream bytes = server.serveShared(
+        profiles[plan.contentProfile].name, classCaps[plan.deviceClass],
+        mix.tenants[plan.tenant]);
     fault::InjectionReport injection;
     const std::vector<std::uint8_t> damaged =
-        fault::injectFaults(bytes, faultSeed, faultCfg, &injection);
+        fault::injectFaults(*bytes, faultSeed, faultCfg, &injection);
     ++report.faultSessions;
     telemetry::inc(faultSessionsCounter);
     report.faultMutationsApplied += injection.mutationsApplied;

@@ -29,38 +29,17 @@ std::uint64_t SessionScheduler::join(const FleetSessionConfig& cfg) {
   s.cfg = cfg;
   s.joinedAtSeconds = now_;
 
-  // Resolve the stream through the server's memoized, cache-backed serve
-  // path.  The scheduler's own directory keys on the same triple the server
-  // memo uses, so N sessions of one group share ONE byte vector here and
-  // the server pays one compensate+encode+mux for all of them.
-  const std::uint64_t fp = cfg.tenantCfg.has_value()
-                               ? cfg.tenantCfg->fingerprint()
-                               : server_.annotatorConfig().fingerprint();
-  const std::vector<std::uint8_t> capsBytes = encodeCapabilities(cfg.caps);
-  std::string streamKey = cfg.clipName;
-  streamKey.push_back('\0');
-  for (int i = 0; i < 8; ++i) {
-    streamKey.push_back(static_cast<char>(fp >> (8 * i)));
-  }
-  streamKey.push_back('\0');
-  streamKey.append(reinterpret_cast<const char*>(capsBytes.data()),
-                   capsBytes.size());
-  auto it = streams_.find(streamKey);
-  if (it == streams_.end()) {
-    std::vector<std::uint8_t> bytes =
-        cfg.tenantCfg.has_value()
-            ? server_.serve(cfg.clipName, cfg.caps, *cfg.tenantCfg)
-            : server_.serve(cfg.clipName, cfg.caps);
-    it = streams_
-             .emplace(std::move(streamKey),
-                      std::make_shared<const std::vector<std::uint8_t>>(
-                          std::move(bytes)))
-             .first;
-    stats_.uniqueStreams = streams_.size();
+  // The server's memo resolves the stream: sessions of one (clip,
+  // fingerprint, capabilities) group hold the same bytes, and the server
+  // pays one compensate+encode+mux for all of them.
+  s.stream = cfg.tenantCfg.has_value()
+                 ? server_.serveShared(cfg.clipName, cfg.caps, *cfg.tenantCfg)
+                 : server_.serveShared(cfg.clipName, cfg.caps);
+  if (joinedStreams_.insert(s.stream).second) {
+    stats_.uniqueStreams = joinedStreams_.size();
     telemetry::set(metrics_.uniqueStreams,
-                   static_cast<std::int64_t>(streams_.size()));
+                   static_cast<std::int64_t>(joinedStreams_.size()));
   }
-  s.stream = it->second;
 
   const CatalogEntry& entry = server_.entry(cfg.clipName);
   const double fps = entry.original.fps > 0.0 ? entry.original.fps : 1.0;
@@ -387,7 +366,7 @@ void SessionScheduler::attachTelemetry(telemetry::Registry& registry) {
       "Summed per-session saved backlight power over the playing cohort");
   telemetry::set(metrics_.active, static_cast<std::int64_t>(active_.size()));
   telemetry::set(metrics_.uniqueStreams,
-                 static_cast<std::int64_t>(streams_.size()));
+                 static_cast<std::int64_t>(joinedStreams_.size()));
   telemetry::set(metrics_.playing, playingCount_);
   telemetry::set(metrics_.playingPowerMilliwatts, playingPowerMilliwatts_);
 }

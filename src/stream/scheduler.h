@@ -5,10 +5,10 @@
 // The paper's economics only work at fleet scale: annotation is computed
 // once upstream so that thousands of battery-constrained clients can reuse
 // it.  This scheduler is the serving half of that claim.  Sessions join
-// (negotiate + resolve their stream through the MediaServer, hence through
-// the shared TrackCache and the per-(clip, fingerprint, capabilities)
-// stream memo), are paced by a per-tick service budget under a round-robin
-// or deadline-ordered policy, and leave cleanly mid-stream.  Concurrency
+// (negotiate + take the MediaServer memo's shared stream, resolved through
+// the shared TrackCache; the scheduler keeps no stream directory of its
+// own), are paced by a per-tick service budget under a round-robin or
+// deadline-ordered policy, and leave cleanly mid-stream.  Concurrency
 // here means sessions in flight, not threads: one loop owns every session,
 // so a 10k-session run is exactly reproducible.
 //
@@ -23,6 +23,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,8 +109,9 @@ struct FleetStats {
   std::uint64_t stallEvents = 0;
   double stallSeconds = 0.0;
   std::uint64_t bytesDelivered = 0;
-  /// Distinct streams materialized (unique (clip, fingerprint, caps)
-  /// groups) -- the denominator of the fleet's sharing story.
+  /// Distinct stream objects the sessions joined (one per (clip,
+  /// fingerprint, caps) group, and a new one after that clip is
+  /// re-ingested) -- the denominator of the fleet's sharing story.
   std::size_t uniqueStreams = 0;
 };
 
@@ -137,10 +139,12 @@ class SessionScheduler {
   SessionScheduler(const MediaServer& server, Config cfg);
 
   /// Negotiates and admits a session; returns its id.  The stream is
-  /// resolved immediately (server serve path -- memoized, cache-backed),
-  /// so join cost is amortized across every session sharing the same
-  /// (clip, fingerprint, capabilities).  Throws what serve() throws
-  /// (unknown clip, quality index out of range).
+  /// resolved immediately through MediaServer::serveShared, so the session
+  /// holds the server memo's bytes and every session sharing the same
+  /// (clip, fingerprint, capabilities) shares one object and one
+  /// compensate+encode+mux.  A join after the clip was re-ingested gets the
+  /// new content.  Throws what serve() throws (unknown clip, quality index
+  /// out of range).
   std::uint64_t join(const FleetSessionConfig& cfg);
 
   /// Removes a session mid-stream (user closed the player).  Terminal:
@@ -195,7 +199,7 @@ class SessionScheduler {
     std::uint64_t id = 0;
     SessionPhase phase = SessionPhase::kBuffering;
     FleetSessionConfig cfg;
-    std::shared_ptr<const std::vector<std::uint8_t>> stream;
+    SharedStream stream;  ///< the server memo's bytes, shared
     double durationSeconds = 0.0;
     double bytesPerContentSecond = 0.0;
     double joinedAtSeconds = 0.0;
@@ -255,10 +259,9 @@ class SessionScheduler {
   /// reports_ so the hot loop never iterates the departed.
   std::map<std::uint64_t, Session> active_;
   std::map<std::uint64_t, SessionReport> reports_;
-  /// One materialized stream per (clip, fingerprint, capability bytes) --
-  /// sessions hold shared_ptrs, so 10k identical sessions cost one copy.
-  std::map<std::string, std::shared_ptr<const std::vector<std::uint8_t>>>
-      streams_;
+  /// Every distinct stream object a session has joined (the server memo's
+  /// shared bytes); its size is FleetStats::uniqueStreams.
+  std::set<SharedStream> joinedStreams_;
   FleetStats stats_;
   Telemetry metrics_;
   std::int64_t playingCount_ = 0;

@@ -141,20 +141,35 @@ const CatalogEntry& MediaServer::findOrThrow(const std::string& name) const {
 
 std::vector<std::uint8_t> MediaServer::serve(
     const std::string& clipName, const ClientCapabilities& caps) const {
-  return serveImpl(clipName, caps, annotatorCfg_, /*isDefaultConfig=*/true);
+  return *serveShared(clipName, caps);
 }
 
 std::vector<std::uint8_t> MediaServer::serve(
     const std::string& clipName, const ClientCapabilities& caps,
     const core::AnnotatorConfig& tenantCfg) const {
-  return serveImpl(clipName, caps, tenantCfg,
-                   tenantCfg.fingerprint() == annotatorFingerprint_);
+  return *serveShared(clipName, caps, tenantCfg);
+}
+
+SharedStream MediaServer::serveShared(const std::string& clipName,
+                                      const ClientCapabilities& caps) const {
+  return serveImpl(clipName, caps, annotatorCfg_, annotatorFingerprint_);
+}
+
+SharedStream MediaServer::serveShared(
+    const std::string& clipName, const ClientCapabilities& caps,
+    const core::AnnotatorConfig& tenantCfg) const {
+  return serveImpl(clipName, caps, tenantCfg, tenantCfg.fingerprint());
 }
 
 core::CachedTrackPtr MediaServer::annotationFor(
     const std::string& clipName, const core::AnnotatorConfig& tenantCfg) const {
-  const CatalogEntry& e = findOrThrow(clipName);
-  const std::uint64_t fp = tenantCfg.fingerprint();
+  return annotationFor(findOrThrow(clipName), tenantCfg,
+                       tenantCfg.fingerprint());
+}
+
+core::CachedTrackPtr MediaServer::annotationFor(
+    const CatalogEntry& e, const core::AnnotatorConfig& tenantCfg,
+    std::uint64_t fp) const {
   const auto compute = [&e, &tenantCfg, fp, this] {
     auto value = std::make_shared<core::CachedTrack>();
     if (fp == annotatorFingerprint_) {
@@ -175,15 +190,17 @@ core::CachedTrackPtr MediaServer::annotationFor(
   return trackCache_->getOrFill(core::TrackKey{e.cacheId, fp}, compute);
 }
 
-std::vector<std::uint8_t> MediaServer::serveImpl(
-    const std::string& clipName, const ClientCapabilities& caps,
-    const core::AnnotatorConfig& tenantCfg, bool isDefaultConfig) const {
+SharedStream MediaServer::serveImpl(const std::string& clipName,
+                                    const ClientCapabilities& caps,
+                                    const core::AnnotatorConfig& tenantCfg,
+                                    std::uint64_t fp) const {
   telemetry::inc(metrics_.serves);
   telemetry::Span serveSpan(metrics_.serveSeconds);
   telemetry::TraceSpan traceSpan(trace_, "serve", "server");
   const char* const tracedClip =
       trace_ != nullptr ? trace_->intern(clipName) : nullptr;
   const CatalogEntry& e = findOrThrow(clipName);
+  const bool isDefaultConfig = fp == annotatorFingerprint_;
   const std::size_t offered = isDefaultConfig
                                   ? e.track.qualityLevels.size()
                                   : tenantCfg.qualityLevels.size();
@@ -195,8 +212,6 @@ std::vector<std::uint8_t> MediaServer::serveImpl(
   // negotiation message verbatim.  Identical devices negotiate identical
   // bytes, so a device fleet shares one cached stream; any capability or
   // plan difference changes the key.
-  const std::uint64_t fp =
-      isDefaultConfig ? annotatorFingerprint_ : tenantCfg.fingerprint();
   const std::vector<std::uint8_t> capsBytes = encodeCapabilities(caps);
   std::string cacheKey = clipName;
   cacheKey.push_back('\0');
@@ -212,7 +227,7 @@ std::vector<std::uint8_t> MediaServer::serveImpl(
     if (it != serveCache_.end()) {
       telemetry::inc(metrics_.cacheHits);
       traceSpan.end({{"cache_hit", 1.0},
-                     {"bytes", static_cast<double>(it->second.size())}},
+                     {"bytes", static_cast<double>(it->second->size())}},
                     "clip", tracedClip);
       return it->second;
     }
@@ -221,7 +236,7 @@ std::vector<std::uint8_t> MediaServer::serveImpl(
   // The default config's track/sketches live in the entry; tenant configs
   // resolve through the shared TrackCache (one engine pass per fingerprint).
   core::CachedTrackPtr tenantTrack;
-  if (!isDefaultConfig) tenantTrack = annotationFor(clipName, tenantCfg);
+  if (!isDefaultConfig) tenantTrack = annotationFor(e, tenantCfg, fp);
   const core::AnnotationTrack& track =
       isDefaultConfig ? e.track : tenantTrack->track;
   const core::SketchTrack& sketches =
@@ -244,12 +259,22 @@ std::vector<std::uint8_t> MediaServer::serveImpl(
       power::ComplexityTrack::fromEncodedClip(encoded);
   std::vector<std::uint8_t> bytes =
       mux(encoded, &track, &complexity, &sketches);
+  // The memo keeps the stream until the next ingest: drop mux's growth
+  // slack so a stored stream costs its size, not its capacity.
+  bytes.shrink_to_fit();
   const std::lock_guard<std::mutex> lock(serveCacheMu_);
-  serveCache_.emplace(std::move(cacheKey), bytes);
+  // A racing request for the same key may have stored first; every caller
+  // gets the stored object, so equal requests share one stream.
+  const SharedStream& stream =
+      serveCache_
+          .emplace(std::move(cacheKey),
+                   std::make_shared<const std::vector<std::uint8_t>>(
+                       std::move(bytes)))
+          .first->second;
   traceSpan.end(
-      {{"cache_hit", 0.0}, {"bytes", static_cast<double>(bytes.size())}},
+      {{"cache_hit", 0.0}, {"bytes", static_cast<double>(stream->size())}},
       "clip", tracedClip);
-  return bytes;
+  return stream;
 }
 
 std::vector<std::uint8_t> MediaServer::serveRaw(

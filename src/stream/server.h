@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -70,6 +71,9 @@ struct CatalogEntry {
   std::string cacheId;
 };
 
+/// One served stream's bytes, shared by every holder (immutable).
+using SharedStream = std::shared_ptr<const std::vector<std::uint8_t>>;
+
 /// The streaming server.
 class MediaServer {
  public:
@@ -91,22 +95,30 @@ class MediaServer {
   [[nodiscard]] const CatalogEntry& entry(const std::string& name) const;
 
   /// Full service path: compensate frames for the negotiated device and
-  /// quality, encode, and mux video + annotations.  Served streams are
-  /// memoized per (clip, annotator fingerprint, exact capabilities): a
-  /// repeat request for the same negotiation returns the cached bytes
-  /// (compensation + encode + mux skipped), which is what makes one catalog
-  /// entry cheap to fan out to a fleet of identical devices.  The cache is
-  /// invalidated by addClip(s).
+  /// quality, encode, and mux video + annotations.  Returns a copy of
+  /// `*serveShared(clipName, caps)`; callers that keep or share the bytes
+  /// should take the shared stream instead.
   [[nodiscard]] std::vector<std::uint8_t> serve(
       const std::string& clipName, const ClientCapabilities& caps) const;
 
   /// Tenant-aware service path: like serve(clip, caps) but annotated under
-  /// `tenantCfg` instead of the server's default config.  The annotation
-  /// track is resolved through the attached TrackCache (see annotationFor),
-  /// so M tenants across N clips cost at most M-fingerprints x N engine
-  /// passes regardless of how many sessions request them; the compensated
-  /// stream itself is memoized per (clip, fingerprint, capabilities).
+  /// `tenantCfg` instead of the server's default config.  Returns a copy
+  /// of `*serveShared(clipName, caps, tenantCfg)`.
   [[nodiscard]] std::vector<std::uint8_t> serve(
+      const std::string& clipName, const ClientCapabilities& caps,
+      const core::AnnotatorConfig& tenantCfg) const;
+
+  /// The served stream itself, shared with the server's memo -- the only
+  /// place served streams are keyed, per (clip, annotator fingerprint,
+  /// exact negotiation bytes).  The first request for a negotiation
+  /// compensates, encodes and muxes; every later one returns the same
+  /// object.  addClip(s) drops the memo: later requests get the new
+  /// content, and pointers handed out earlier keep their bytes.  Tenant
+  /// tracks resolve through the attached TrackCache (see annotationFor).
+  /// Throws std::out_of_range for an unknown clip or quality index.
+  [[nodiscard]] SharedStream serveShared(const std::string& clipName,
+                                         const ClientCapabilities& caps) const;
+  [[nodiscard]] SharedStream serveShared(
       const std::string& clipName, const ClientCapabilities& caps,
       const core::AnnotatorConfig& tenantCfg) const;
 
@@ -171,9 +183,16 @@ class MediaServer {
   };
 
   const CatalogEntry& findOrThrow(const std::string& name) const;
-  [[nodiscard]] std::vector<std::uint8_t> serveImpl(
-      const std::string& clipName, const ClientCapabilities& caps,
-      const core::AnnotatorConfig& tenantCfg, bool isDefaultConfig) const;
+  /// annotationFor with the config's fingerprint already computed.
+  [[nodiscard]] core::CachedTrackPtr annotationFor(
+      const CatalogEntry& e, const core::AnnotatorConfig& tenantCfg,
+      std::uint64_t fp) const;
+  /// The serve path; `fp` is tenantCfg.fingerprint(), hashed once per
+  /// request by the public overloads.
+  [[nodiscard]] SharedStream serveImpl(const std::string& clipName,
+                                       const ClientCapabilities& caps,
+                                       const core::AnnotatorConfig& tenantCfg,
+                                       std::uint64_t fp) const;
 
   core::AnnotatorConfig annotatorCfg_;
   std::uint64_t annotatorFingerprint_ = 0;  ///< annotatorCfg_.fingerprint()
@@ -184,12 +203,12 @@ class MediaServer {
   core::TrackCache* trackCache_ = nullptr;  ///< shared, not owned
   std::uint64_t serverId_ = 0;   ///< process-unique, part of cacheId
   std::uint64_t ingestRevision_ = 0;  ///< bumped per stored clip
-  /// Memoized serve() results keyed by clip name + annotator fingerprint +
+  /// The served-stream memo, keyed by clip name + annotator fingerprint +
   /// exact negotiation bytes (no collisions by construction).  Mutable +
   /// mutex: serving is logically const and must stay thread-safe for
   /// concurrent sessions.
   mutable std::mutex serveCacheMu_;
-  mutable std::map<std::string, std::vector<std::uint8_t>> serveCache_;
+  mutable std::map<std::string, SharedStream> serveCache_;
 };
 
 /// Builds a minimal device model from negotiated capabilities (name +

@@ -27,17 +27,16 @@ BandwidthTrace BandwidthTrace::periodicDip(double bitsPerSec,
     throw std::invalid_argument("BandwidthTrace::periodicDip: bad parameters");
   }
   BandwidthTrace t;
-  // One period at 10 ms resolution; at() wraps via modulo below, so we bake
-  // repetition by generating a long trace (100 periods covers any clip we
-  // simulate; flat extrapolation beyond is the steady rate).
+  // One period at 10 ms resolution; at() wraps it via modulo for 100
+  // periods (covers any clip we simulate), then extrapolates flat at its
+  // last step's rate.
   t.stepSeconds_ = 0.01;
+  t.periods_ = 100;
   const int stepsPerPeriod =
       std::max(1, static_cast<int>(periodSeconds / t.stepSeconds_));
   const int dipSteps = static_cast<int>(dipSeconds / t.stepSeconds_);
-  for (int period = 0; period < 100; ++period) {
-    for (int s = 0; s < stepsPerPeriod; ++s) {
-      t.rates_.push_back(s < dipSteps ? dipBitsPerSec : bitsPerSec);
-    }
+  for (int s = 0; s < stepsPerPeriod; ++s) {
+    t.rates_.push_back(s < dipSteps ? dipBitsPerSec : bitsPerSec);
   }
   return t;
 }
@@ -71,7 +70,9 @@ double BandwidthTrace::at(double tSeconds) const {
   if (rates_.empty()) return 0.0;
   if (tSeconds < 0.0) return rates_.front();
   const auto idx = static_cast<std::size_t>(tSeconds / stepSeconds_);
-  return idx < rates_.size() ? rates_[idx] : rates_.back();
+  const std::size_t n = rates_.size();
+  if (idx < n) return rates_[idx];
+  return idx < n * periods_ ? rates_[idx % n] : rates_.back();
 }
 
 SessionSimResult simulateSession(const media::EncodedClip& clip,

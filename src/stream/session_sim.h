@@ -31,7 +31,8 @@ class BandwidthTrace {
 
   /// Periodic dips: `bitsPerSec` except for `dipSeconds` out of every
   /// `periodSeconds`, where it falls to `dipBitsPerSec` (AP contention,
-  /// microwave ovens, elevators...).
+  /// microwave ovens, elevators...).  Stores one period; at() repeats it
+  /// for 100 periods, then stays at the period's last rate.
   static BandwidthTrace periodicDip(double bitsPerSec, double dipBitsPerSec,
                                     double periodSeconds, double dipSeconds);
 
@@ -44,8 +45,9 @@ class BandwidthTrace {
   [[nodiscard]] double at(double tSeconds) const;
 
  private:
-  std::vector<double> rates_;  ///< one entry per step
+  std::vector<double> rates_;  ///< one entry per step (of one period)
   double stepSeconds_ = 1.0;
+  std::size_t periods_ = 1;  ///< times rates_ repeats before going flat
 };
 
 /// Client/session parameters.

@@ -243,6 +243,33 @@ TEST_F(SchedulerTest, IdenticalSessionsShareOneStream) {
   server_.detachTrackCache();
 }
 
+TEST_F(SchedulerTest, JoinAfterReingestStreamsTheNewContent) {
+  SessionScheduler sched(server_);
+  const std::uint64_t before = sched.join(fastSession());
+  const std::size_t oldBytes = server_.serve("catwoman", ipaqCaps()).size();
+  // Replace the clip with a same-name clip of a different length while the
+  // scheduler is live.
+  std::vector<media::VideoClip> clips;
+  clips.push_back(
+      media::generatePaperClip(media::PaperClip::kCatwoman, 0.04, 32, 24));
+  server_.addClips(std::move(clips));
+  const std::size_t newBytes = server_.serve("catwoman", ipaqCaps()).size();
+  ASSERT_NE(newBytes, oldBytes);
+
+  const std::uint64_t after = sched.join(fastSession());
+  EXPECT_EQ(sched.report(after).streamBytes, newBytes)
+      << "a join after re-ingest must stream the new content";
+  EXPECT_EQ(sched.report(before).streamBytes, oldBytes)
+      << "a session joined earlier keeps the bytes it was served";
+  EXPECT_EQ(sched.stats().uniqueStreams, 2u);
+  sched.run();
+  for (const std::uint64_t id : {before, after}) {
+    const SessionReport r = sched.report(id);
+    EXPECT_EQ(r.phase, SessionPhase::kCompleted) << id;
+    EXPECT_EQ(r.bytesDelivered, r.streamBytes) << id;
+  }
+}
+
 TEST_F(SchedulerTest, TenantSessionsResolveThroughTrackCache) {
   core::TrackCache cache;
   server_.attachTrackCache(cache);

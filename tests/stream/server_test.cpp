@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "core/runtime.h"
 #include "media/clipgen.h"
 #include "media/luminance.h"
@@ -140,6 +143,61 @@ TEST_F(ServerTest, ReAddReplacesClip) {
   const std::size_t newCount = clip.frames.size();
   server_.addClip(std::move(clip));
   EXPECT_EQ(server_.entry("catwoman").original.frames.size(), newCount);
+}
+
+TEST_F(ServerTest, ServeSharedHandsOutTheMemoObject) {
+  // Same negotiation, same object: the memo hands out its bytes, no copy.
+  const SharedStream a = server_.serveShared("catwoman", ipaqCaps(2));
+  const SharedStream b = server_.serveShared("catwoman", ipaqCaps(2));
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(server_.serve("catwoman", ipaqCaps(2)), *a);
+  // A tenant whose config is the server's default shares the default
+  // stream; any other negotiation gets its own object.
+  EXPECT_EQ(server_.serveShared("catwoman", ipaqCaps(2),
+                                server_.annotatorConfig())
+                .get(),
+            a.get());
+  EXPECT_NE(server_.serveShared("catwoman", ipaqCaps(1)).get(), a.get());
+  core::AnnotatorConfig tenant;
+  tenant.granularity = core::Granularity::kPerFrame;
+  const SharedStream t = server_.serveShared("catwoman", ipaqCaps(2), tenant);
+  EXPECT_EQ(server_.serveShared("catwoman", ipaqCaps(2), tenant).get(),
+            t.get());
+  EXPECT_NE(t.get(), a.get());
+  EXPECT_EQ(server_.serve("catwoman", ipaqCaps(2), tenant), *t);
+
+  // Re-ingest drops the memo: later requests get a new object, while the
+  // one handed out earlier stays valid with the bytes it was served.
+  const std::vector<std::uint8_t> served = *a;
+  std::vector<media::VideoClip> clips;
+  clips.push_back(
+      media::generatePaperClip(media::PaperClip::kCatwoman, 0.03, 32, 24));
+  server_.addClips(std::move(clips));
+  const SharedStream c = server_.serveShared("catwoman", ipaqCaps(2));
+  EXPECT_NE(c.get(), a.get());
+  EXPECT_EQ(*a, served);
+  EXPECT_EQ(server_.serve("catwoman", ipaqCaps(2)), *c);
+  EXPECT_EQ(server_.serveShared("catwoman", ipaqCaps(2)).get(), c.get());
+}
+
+TEST_F(ServerTest, RacingServeSharedRequestsGetOneObject) {
+  // Requests racing on a cold negotiation may each build the stream, but
+  // the memo keeps the first one stored and every caller gets that object.
+  constexpr int kThreads = 4;
+  std::vector<SharedStream> got(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([this, &got, t] {
+      got[static_cast<std::size_t>(t)] =
+          server_.serveShared("officexp", ipaqCaps(1));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (const SharedStream& s : got) EXPECT_EQ(s.get(), got.front().get());
+  EXPECT_EQ(server_.serveShared("officexp", ipaqCaps(1)).get(),
+            got.front().get());
 }
 
 TEST(Server, RejectsInvalidClip) {

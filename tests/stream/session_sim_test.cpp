@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "media/clipgen.h"
 
 namespace anno::stream {
@@ -35,6 +38,58 @@ TEST(BandwidthTrace, PeriodicDipShape) {
   EXPECT_DOUBLE_EQ(t.at(1.05), 1e6);   // next period's dip
   EXPECT_THROW((void)BandwidthTrace::periodicDip(10e6, 1e6, 1.0, 2.0),
                std::invalid_argument);
+}
+
+/// periodicDip as it was once built: 100 baked copies of the period, read
+/// by index with flat extrapolation past the end.  The one-period trace
+/// must answer every query exactly as this did.
+struct BakedPeriodicDip {
+  std::vector<double> rates;
+
+  BakedPeriodicDip(double bitsPerSec, double dipBitsPerSec,
+                   double periodSeconds, double dipSeconds) {
+    const int stepsPerPeriod =
+        std::max(1, static_cast<int>(periodSeconds / 0.01));
+    const int dipSteps = static_cast<int>(dipSeconds / 0.01);
+    for (int period = 0; period < 100; ++period) {
+      for (int s = 0; s < stepsPerPeriod; ++s) {
+        rates.push_back(s < dipSteps ? dipBitsPerSec : bitsPerSec);
+      }
+    }
+  }
+
+  [[nodiscard]] double at(double t) const {
+    if (t < 0.0) return rates.front();
+    const auto idx = static_cast<std::size_t>(t / 0.01);
+    return idx < rates.size() ? rates[idx] : rates.back();
+  }
+};
+
+TEST(BandwidthTrace, PeriodicDipMatchesBakedExpansion) {
+  struct Shape {
+    double rate, dipRate, period, dip;
+  };
+  // The commute class's shape, a dip filling the whole period, a period
+  // shorter than one step, a dip-free period and a non-step-aligned period.
+  const Shape shapes[] = {{4e6, 1e6, 2.0, 0.5},  {10e6, 1e6, 1.0, 1.0},
+                          {8e6, 2e6, 0.004, 0.0}, {5e6, 0.0, 3.0, 0.0},
+                          {6e6, 3e5, 1.237, 0.41}};
+  for (const Shape& sh : shapes) {
+    const BandwidthTrace t =
+        BandwidthTrace::periodicDip(sh.rate, sh.dipRate, sh.period, sh.dip);
+    const BakedPeriodicDip baked(sh.rate, sh.dipRate, sh.period, sh.dip);
+    const double end = 100.0 * sh.period;
+    std::vector<double> times = {-5.0, -0.01, -0.0, 0.0, end, end + 0.01,
+                                 end * 3.0 + 7.5, 1e6};
+    for (int i = 0; i * 0.01 < end * 1.05 + 0.5; ++i) {
+      times.push_back(i * 0.01);           // step-aligned
+      times.push_back(i * 0.01 + 0.0049);  // mid-step
+    }
+    for (double q : times) {
+      ASSERT_EQ(t.at(q), baked.at(q))
+          << "period " << sh.period << " dip " << sh.dip << " t " << q;
+    }
+  }
 }
 
 TEST(BandwidthTrace, RandomWalkBoundedAndDeterministic) {
