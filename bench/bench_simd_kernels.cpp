@@ -1,11 +1,14 @@
 // Per-kernel cost of the SIMD dispatch layer (src/media/kernels) at every
-// level available on this machine, against the scalar reference.  This is
-// the PR's acceptance bench: the fused frame profile must beat scalar by
-// >= 2x and the 256-bin EMD by >= 4x on x86-64; the 8x8 DCT pair's speedup
-// is reported, not gated.  Every variant's output is checked equal to
-// scalar before its timing is reported; divergence aborts with
-// EXIT_FAILURE (the bit-identical contract is not a benchmark knob).
-// Emits BENCH_simd_kernels.json at the repo root.
+// level available on this machine, against the scalar reference.  The
+// fused frame profile must beat scalar by >= 2x and the 256-bin EMD by
+// >= 4x on x86-64; the 8x8 DCT pair's and the codec colour pair's speedups
+// are reported, not gated.  The inverse DCT is timed once more per block
+// density (DC-only, one live row, two live rows, dense), because it skips
+// all-zero rows.  Every variant's output is checked equal to scalar before
+// its timing is reported; divergence aborts with EXIT_FAILURE (the
+// bit-identical contract is not a benchmark knob).  Emits
+// BENCH_simd_kernels.json at the repo root, with the build type and
+// compiler it was measured under.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -34,6 +37,16 @@ constexpr int kWidth = 320;
 constexpr int kHeight = 240;  // the paper's clip resolution
 constexpr int kReps = 9;
 constexpr std::size_t kDctBlocks = 64;  // distinct input blocks per DCT op
+#ifdef ANNO_BUILD_TYPE
+constexpr const char* kBuildType = ANNO_BUILD_TYPE;
+#else
+constexpr const char* kBuildType = "unknown";
+#endif
+#if defined(__clang__)
+constexpr const char* kCompiler = "Clang " __clang_version__;
+#else
+constexpr const char* kCompiler = "GCC " __VERSION__;
+#endif
 
 /// Times fn() (already iterated internally) and returns best-of-reps
 /// seconds per op.
@@ -70,6 +83,7 @@ void sink(std::uint64_t v) { g_sink = g_sink + v; }
 int main() {
   bench::printHeader(
       "SIMD kernel layer: per-kernel cost per dispatch level vs scalar");
+  std::printf("build type: %s, compiler: %s\n", kBuildType, kCompiler);
 
   const std::vector<Level> levels = media::kernels::availableLevels();
   std::printf("dispatch levels available:");
@@ -247,6 +261,47 @@ int main() {
       },
       40);
 
+  // Codec colour pair (encoder front end, decoder back end).  One op = one
+  // frame; the colour table below reports ns per pixel.  planes_to_rgb
+  // converts the planes rgb_to_planes made of frame A.
+  std::vector<double> planesWant(3 * n);
+  double* const yWant = planesWant.data();
+  scalar->rgbToPlanes(pxA, n, yWant, yWant + n, yWant + 2 * n);
+  report(
+      "rgb_to_planes", static_cast<double>(n),
+      [&](const KernelTable* table) {
+        std::vector<double> got(3 * n);
+        table->rgbToPlanes(pxA, n, got.data(), got.data() + n,
+                           got.data() + 2 * n);
+        identical = identical && std::memcmp(got.data(), planesWant.data(),
+                                             got.size() * sizeof(double)) ==
+                                     0;
+        return [table, pxA, n] {
+          static std::vector<double> dst(3 * n);
+          table->rgbToPlanes(pxA, n, dst.data(), dst.data() + n,
+                             dst.data() + 2 * n);
+          sink(static_cast<std::uint64_t>(dst[0]));
+        };
+      },
+      40);
+  std::vector<media::Rgb8> rgbWant(n);
+  scalar->planesToRgb(yWant, yWant + n, yWant + 2 * n, n, rgbWant.data());
+  report(
+      "planes_to_rgb", static_cast<double>(n),
+      [&](const KernelTable* table) {
+        std::vector<media::Rgb8> got(n);
+        table->planesToRgb(yWant, yWant + n, yWant + 2 * n, n, got.data());
+        identical = identical &&
+                    std::memcmp(got.data(), rgbWant.data(),
+                                n * sizeof(media::Rgb8)) == 0;
+        return [table, yWant, n] {
+          static std::vector<media::Rgb8> dst(n);
+          table->planesToRgb(yWant, yWant + n, yWant + 2 * n, n, dst.data());
+          sink(dst[0].g);
+        };
+      },
+      40);
+
   // 8x8 DCT pair (codec encode, closed-loop reconstruction, client and
   // proxy decode).  One op = one block; the inputs alternate intra samples
   // and mostly-zero dequantized coefficient blocks, as the codec sees them.
@@ -266,23 +321,24 @@ int main() {
   }
   const auto reportDct = [&](const char* name,
                              void (*KernelTable::*entry)(const double*,
-                                                         double*)) {
-    std::vector<double> want(dctIn.size());
+                                                         double*),
+                             const std::vector<double>& blocks) {
+    std::vector<double> want(blocks.size());
     for (std::size_t b = 0; b < kDctBlocks; ++b) {
-      (scalar->*entry)(dctIn.data() + b * 64, want.data() + b * 64);
+      (scalar->*entry)(blocks.data() + b * 64, want.data() + b * 64);
     }
     report(
         name, 64.0,
         [&](const KernelTable* table) {
-          std::vector<double> got(dctIn.size());
+          std::vector<double> got(blocks.size());
           for (std::size_t b = 0; b < kDctBlocks; ++b) {
-            (table->*entry)(dctIn.data() + b * 64, got.data() + b * 64);
+            (table->*entry)(blocks.data() + b * 64, got.data() + b * 64);
           }
           identical = identical && std::memcmp(got.data(), want.data(),
                                                got.size() * sizeof(double)) ==
                                        0;
           const auto fn = table->*entry;
-          return [fn, in = dctIn.data()] {
+          return [fn, in = blocks.data()] {
             static std::size_t next = 0;
             alignas(32) static double out[64];
             fn(in + (next++ % kDctBlocks) * 64, out);
@@ -291,8 +347,34 @@ int main() {
         },
         200000);
   };
-  reportDct("forward_dct_8x8", &KernelTable::forwardDct8x8);
-  reportDct("inverse_dct_8x8", &KernelTable::inverseDct8x8);
+  reportDct("forward_dct_8x8", &KernelTable::forwardDct8x8, dctIn);
+  reportDct("inverse_dct_8x8", &KernelTable::inverseDct8x8, dctIn);
+
+  // Inverse DCT by block density: dequantized coefficient blocks whose
+  // live (nonzero) rows are row 0 only with just the DC term, row 0, rows
+  // 0-1, or all eight -- the shapes a decoder meets, densest last.
+  const auto densityBlocks = [&](int liveRows, bool dcOnly) {
+    std::vector<double> blocks(kDctBlocks * 64, 0.0);
+    for (std::size_t b = 0; b < kDctBlocks; ++b) {
+      double* blk = blocks.data() + b * 64;
+      for (int i = 0; i < (dcOnly ? 1 : liveRows * 8); ++i) {
+        blk[i] = (static_cast<double>(rng.below(41)) - 20.0) *
+                 static_cast<double>(1 + rng.below(99));
+      }
+      for (int row = 0; row < liveRows; ++row) {
+        blk[row * 8] = 8.0 + static_cast<double>(rng.below(200));  // live
+      }
+    }
+    return blocks;
+  };
+  reportDct("inverse_dct_dc_only", &KernelTable::inverseDct8x8,
+            densityBlocks(1, true));
+  reportDct("inverse_dct_1_row", &KernelTable::inverseDct8x8,
+            densityBlocks(1, false));
+  reportDct("inverse_dct_2_rows", &KernelTable::inverseDct8x8,
+            densityBlocks(2, false));
+  reportDct("inverse_dct_dense", &KernelTable::inverseDct8x8,
+            densityBlocks(8, false));
 
   bench::Table table({"kernel", "level", "ns/op", "ns/Kelem", "speedup"});
   for (const KernelResult& kr : results) {
@@ -305,6 +387,18 @@ int main() {
   }
   table.print();
   table.printCsv("simd_kernels");
+
+  bench::Table colour({"colour kernel", "level", "ns/pixel", "speedup"});
+  for (const KernelResult& kr : results) {
+    if (kr.kernel != "rgb_to_planes" && kr.kernel != "planes_to_rgb") continue;
+    for (const LevelResult& lr : kr.levels) {
+      colour.addRow({kr.kernel, media::kernels::levelName(lr.level),
+                     bench::fmt(lr.nsPerOp / kr.opsUnit, 3),
+                     bench::fmt(lr.speedup, 2) + "x"});
+    }
+  }
+  std::printf("\n");
+  colour.print();
   std::printf("\nall variants bit-identical to scalar: %s\n",
               identical ? "yes" : "NO");
 
@@ -341,6 +435,11 @@ int main() {
   if (std::FILE* json = std::fopen(jsonFile.c_str(), "w")) {
     std::fprintf(json, "{\n  \"workload\": {\"width\": %d, \"height\": %d},\n",
                  kWidth, kHeight);
+    std::fprintf(json,
+                 "  \"build_type\": \"%s\",\n  \"compiler\": \"%s\",\n"
+                 "  \"timing\": \"best of %d repetitions per kernel and "
+                 "level\",\n",
+                 kBuildType, kCompiler, kReps);
     std::fprintf(json, "  \"levels\": [");
     for (std::size_t i = 0; i < levels.size(); ++i) {
       std::fprintf(json, "%s\"%s\"", i ? ", " : "",
@@ -356,9 +455,9 @@ int main() {
         const LevelResult& lr = kr.levels[j];
         std::fprintf(json,
                      "%s{\"level\": \"%s\", \"ns_per_op\": %.1f, "
-                     "\"speedup_vs_scalar\": %.3f}",
+                     "\"ns_per_elem\": %.4f, \"speedup_vs_scalar\": %.3f}",
                      j ? ", " : "", media::kernels::levelName(lr.level),
-                     lr.nsPerOp, lr.speedup);
+                     lr.nsPerOp, lr.nsPerOp / kr.opsUnit, lr.speedup);
       }
       std::fprintf(json, "]}%s\n", i + 1 < results.size() ? "," : "");
     }

@@ -9,6 +9,7 @@
 
 #include "media/bitstream.h"
 #include "media/dct.h"
+#include "media/kernels/kernels.h"
 
 namespace anno::media {
 namespace {
@@ -30,62 +31,50 @@ constexpr std::uint8_t kFrameInter = 1;
 constexpr std::uint8_t kBlockSkip = 0;
 constexpr std::uint8_t kBlockDelta = 1;
 
-/// JPEG-style quality scaling of the base matrix.
-std::array<int, 64> quantMatrix(int quality) {
+/// The quantizer of one quality, in zigzag scan order: for scan position
+/// i, the raster slot of its coefficient and its step, the JPEG-style
+/// quality scaling of the base matrix.  Encoder and decoder read both from
+/// here, so they quantize and dequantize with the same doubles.
+struct ZigzagQuant {
+  std::array<int, 64> slot;
+  std::array<double, 64> step;
+};
+
+ZigzagQuant zigzagQuant(int quality) {
   if (quality < 1 || quality > 100) {
     throw std::invalid_argument("codec: quality must be in [1,100]");
   }
   const int scale = quality < 50 ? 5000 / quality : 200 - 2 * quality;
-  std::array<int, 64> q{};
+  const auto& zz = zigzagOrder();
+  ZigzagQuant zq{};
   for (int i = 0; i < 64; ++i) {
-    q[i] = std::clamp((kBaseQuant[i] * scale + 50) / 100, 1, 255);
+    zq.slot[i] = zz[i];
+    zq.step[i] = std::clamp((kBaseQuant[zz[i]] * scale + 50) / 100, 1, 255);
   }
-  return q;
-}
-
-struct Ycbcr {
-  double y, cb, cr;
-};
-
-Ycbcr toYcbcr(const Rgb8& p) {
-  const double y = kLumaR * p.r + kLumaG * p.g + kLumaB * p.b;
-  const double cb = 128.0 + (-0.168736 * p.r - 0.331264 * p.g + 0.5 * p.b);
-  const double cr = 128.0 + (0.5 * p.r - 0.418688 * p.g - 0.081312 * p.b);
-  return {y, cb, cr};
-}
-
-Rgb8 toRgb(double y, double cb, double cr) {
-  const double r = y + 1.402 * (cr - 128.0);
-  const double g = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0);
-  const double b = y + 1.772 * (cb - 128.0);
-  return Rgb8{clamp8(r), clamp8(g), clamp8(b)};
+  return zq;
 }
 
 int blocksAcross(int dim) { return (dim + 7) / 8; }
 
 using Planes = std::array<std::vector<double>, 3>;
 
+/// RGB -> YCbCr planes through the kernel layer's colour pair.
 Planes toPlanes(const Image& frame) {
   Planes planes;
   for (auto& p : planes) {
     p.resize(frame.pixelCount());
   }
   auto src = frame.pixels();
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const Ycbcr c = toYcbcr(src[i]);
-    planes[0][i] = c.y;
-    planes[1][i] = c.cb;
-    planes[2][i] = c.cr;
-  }
+  kernels::active().rgbToPlanes(src.data(), src.size(), planes[0].data(),
+                                planes[1].data(), planes[2].data());
   return planes;
 }
 
 Image fromPlanes(const Planes& planes, int width, int height) {
   Image img(width, height);
   auto dst = img.pixels();
-  for (std::size_t i = 0; i < dst.size(); ++i) {
-    dst[i] = toRgb(planes[0][i], planes[1][i], planes[2][i]);
-  }
+  kernels::active().planesToRgb(planes[0].data(), planes[1].data(),
+                                planes[2].data(), dst.size(), dst.data());
   return img;
 }
 
@@ -106,19 +95,29 @@ Block8x8 fetchBlock(const std::vector<double>& plane, int width, int height,
   return blk;
 }
 
+/// The part of block (bx,by) that lies inside a width x height plane: the
+/// index of its top-left sample and its clipped column and row counts.
+struct BlockExtent {
+  std::size_t origin;
+  int cols;
+  int rows;
+};
+
+BlockExtent extentOf(int width, int height, int bx, int by) {
+  return BlockExtent{
+      static_cast<std::size_t>(by) * 8 * static_cast<std::size_t>(width) +
+          static_cast<std::size_t>(bx) * 8,
+      std::min(8, width - bx * 8), std::min(8, height - by * 8)};
+}
+
 /// Writes the block into the plane, adding `offset` back; pixels outside
 /// the image are dropped.
 void storeBlock(const Block8x8& blk, std::vector<double>& plane, int width,
                 int height, int bx, int by, double offset) {
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      plane[static_cast<std::size_t>(sy) * width + sx] =
-          blk[y * 8 + x] + offset;
-    }
+  const BlockExtent e = extentOf(width, height, bx, by);
+  double* dst = plane.data() + e.origin;
+  for (int y = 0; y < e.rows; ++y, dst += width) {
+    for (int x = 0; x < e.cols; ++x) dst[x] = blk[y * 8 + x] + offset;
   }
 }
 
@@ -126,70 +125,53 @@ void storeBlock(const Block8x8& blk, std::vector<double>& plane, int width,
 void addBlock(const Block8x8& residual, const std::vector<double>& ref,
               std::vector<double>& plane, int width, int height, int bx,
               int by) {
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      const std::size_t idx = static_cast<std::size_t>(sy) * width + sx;
-      plane[idx] = ref[idx] + residual[y * 8 + x];
-    }
+  const BlockExtent e = extentOf(width, height, bx, by);
+  const double* src = ref.data() + e.origin;
+  double* dst = plane.data() + e.origin;
+  for (int y = 0; y < e.rows; ++y, src += width, dst += width) {
+    for (int x = 0; x < e.cols; ++x) dst[x] = src[x] + residual[y * 8 + x];
   }
 }
 
 void copyBlock(const std::vector<double>& ref, std::vector<double>& plane,
                int width, int height, int bx, int by) {
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      const std::size_t idx = static_cast<std::size_t>(sy) * width + sx;
-      plane[idx] = ref[idx];
-    }
+  const BlockExtent e = extentOf(width, height, bx, by);
+  const double* src = ref.data() + e.origin;
+  double* dst = plane.data() + e.origin;
+  for (int y = 0; y < e.rows; ++y, src += width, dst += width) {
+    std::copy_n(src, e.cols, dst);
   }
 }
 
 /// Mean absolute difference of a block position between two planes.
 double blockMad(const std::vector<double>& a, const std::vector<double>& b,
                 int width, int height, int bx, int by) {
+  const BlockExtent e = extentOf(width, height, bx, by);
+  const double* pa = a.data() + e.origin;
+  const double* pb = b.data() + e.origin;
   double sum = 0.0;
-  int n = 0;
-  for (int y = 0; y < 8; ++y) {
-    const int sy = by * 8 + y;
-    if (sy >= height) break;
-    for (int x = 0; x < 8; ++x) {
-      const int sx = bx * 8 + x;
-      if (sx >= width) break;
-      const std::size_t idx = static_cast<std::size_t>(sy) * width + sx;
-      sum += std::abs(a[idx] - b[idx]);
-      ++n;
-    }
+  for (int y = 0; y < e.rows; ++y, pa += width, pb += width) {
+    for (int x = 0; x < e.cols; ++x) sum += std::abs(pa[x] - pb[x]);
   }
+  const int n = e.rows * e.cols;
   return n > 0 ? sum / n : 0.0;
 }
 
 /// Quantizes a DCT block into zigzag-ordered integer coefficients.
-void quantizeBlock(const Block8x8& freq, const std::array<int, 64>& quant,
+void quantizeBlock(const Block8x8& freq, const ZigzagQuant& zq,
                    int (&coeffs)[64]) {
-  const auto& zz = zigzagOrder();
   for (int i = 0; i < 64; ++i) {
-    const double q = freq[zz[i]] / quant[zz[i]];
-    coeffs[i] = static_cast<int>(std::lround(q));
+    coeffs[i] = static_cast<int>(std::lround(freq[zq.slot[i]] / zq.step[i]));
   }
 }
 
-/// The decoder's dequantization of zigzag-ordered coefficients.  The
-/// encoder runs the same function on its own coefficients to rebuild its
-/// closed-loop reference, so both sides see identical doubles.
-Block8x8 dequantizeBlock(const int (&coeffs)[64],
-                         const std::array<int, 64>& quant) {
-  const auto& zz = zigzagOrder();
+/// Dequantizes zigzag-ordered coefficients for the encoder's closed-loop
+/// reference: slot i gets double(coeffs[i]) * step, the product decodeBlock
+/// writes, so both sides see identical doubles.
+Block8x8 dequantizeBlock(const int (&coeffs)[64], const ZigzagQuant& zq) {
   Block8x8 freq{};
   for (int i = 0; i < 64; ++i) {
-    freq[zz[i]] = static_cast<double>(coeffs[i]) * quant[zz[i]];
+    freq[zq.slot[i]] = static_cast<double>(coeffs[i]) * zq.step[i];
   }
   return freq;
 }
@@ -212,37 +194,46 @@ void encodeBlock(const int (&coeffs)[64], int& dcPred, ByteWriter& w) {
   w.varint(0);  // end of block
 }
 
-/// Narrows a decoded value to int; throws if it does not fit.
-int checkedInt(std::int64_t v, const char* what) {
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    throw std::runtime_error(std::string("codec: ") + what + " out of range");
-  }
-  return static_cast<int>(v);
+/// Throws the decoder's malformed-stream error.  Out of line and cold, so
+/// the checks in decodeBlock cost a compare and a never-taken branch.
+[[noreturn, gnu::cold, gnu::noinline]] void throwMalformed(const char* what) {
+  throw std::runtime_error(std::string("codec: ") + what);
 }
 
-Block8x8 decodeBlock(const std::array<int, 64>& quant, int& dcPred,
-                     ByteReader& r) {
-  int coeffs[64] = {};
+constexpr bool fitsInt(std::int64_t v) {
+  return v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max();
+}
+
+/// Entropy-decodes one block straight into its dequantized frequency
+/// block: each coded coefficient c lands in its raster slot as
+/// double(c) * q, and every other slot is +0.0 -- exactly what
+/// dequantizeBlock makes of the same coefficients.  Every varint is
+/// range-checked before it is narrowed or used as a step.
+void decodeBlock(const ZigzagQuant& zq, int& dcPred, ByteReader& r,
+                 Block8x8& freq) {
+  freq.fill(0.0);
   const std::int64_t dcDelta = r.svarint();
-  // Both operands are checked to fit in int first, so the 64-bit sum
-  // cannot overflow; the sum itself must fit too.
-  dcPred = checkedInt(checkedInt(dcDelta, "DC delta") +
-                          static_cast<std::int64_t>(dcPred),
-                      "DC prediction");
-  coeffs[0] = dcPred;
+  if (!fitsInt(dcDelta)) throwMalformed("DC delta out of range");
+  // Both operands fit in int, so the 64-bit sum cannot overflow; the sum
+  // itself must fit too.
+  const std::int64_t dc = dcDelta + dcPred;
+  if (!fitsInt(dc)) throwMalformed("DC prediction out of range");
+  dcPred = static_cast<int>(dc);
+  freq[zq.slot[0]] = static_cast<double>(dcPred) * zq.step[0];
   int pos = 0;
   for (;;) {
     const std::uint64_t marker = r.varint();
     if (marker == 0) break;  // EOB
     // marker = run+1 -> advance past zeros; it may at most reach slot 63.
     if (marker > static_cast<std::uint64_t>(63 - pos)) {
-      throw std::runtime_error("codec: coefficient overrun");
+      throwMalformed("coefficient overrun");
     }
     pos += static_cast<int>(marker);
-    coeffs[pos] = checkedInt(r.svarint(), "coefficient");
+    const std::int64_t c = r.svarint();
+    if (!fitsInt(c)) throwMalformed("coefficient out of range");
+    freq[zq.slot[pos]] = static_cast<double>(c) * zq.step[pos];
   }
-  return dequantizeBlock(coeffs, quant);
 }
 
 void checkFrameGeometry(const Image& frame) {
@@ -267,7 +258,7 @@ void prepareRecon(Planes* recon, int w, int h) {
 /// receives the planes the decoder will rebuild, computed from the same
 /// quantized coefficients the bytes carry.
 void encodeIntraPlanes(const Planes& planes, int w, int h,
-                       const std::array<int, 64>& quant, ByteWriter& out,
+                       const ZigzagQuant& zq, ByteWriter& out,
                        Planes* recon) {
   prepareRecon(recon, w, h);
   const int bw = blocksAcross(w);
@@ -278,10 +269,10 @@ void encodeIntraPlanes(const Planes& planes, int w, int h,
       for (int bx = 0; bx < bw; ++bx) {
         int coeffs[64];
         quantizeBlock(forwardDct(fetchBlock(planes[p], w, h, bx, by, 128.0)),
-                      quant, coeffs);
+                      zq, coeffs);
         encodeBlock(coeffs, dcPred, out);
         if (recon != nullptr) {
-          storeBlock(inverseDct(dequantizeBlock(coeffs, quant)), (*recon)[p],
+          storeBlock(inverseDct(dequantizeBlock(coeffs, zq)), (*recon)[p],
                      w, h, bx, by, 128.0);
         }
       }
@@ -292,7 +283,7 @@ void encodeIntraPlanes(const Planes& planes, int w, int h,
 /// Inter-codes `cur` against the reference planes `ref` (SKIP or DELTA per
 /// block); `recon` as for encodeIntraPlanes.
 void encodeInterPlanes(const Planes& cur, const Planes& ref, int w, int h,
-                       const std::array<int, 64>& quant, double skipThreshold,
+                       const ZigzagQuant& zq, double skipThreshold,
                        ByteWriter& out, Planes* recon) {
   prepareRecon(recon, w, h);
   const int bw = blocksAcross(w);
@@ -313,10 +304,10 @@ void encodeInterPlanes(const Planes& cur, const Planes& ref, int w, int h,
         const Block8x8 refBlk = fetchBlock(ref[p], w, h, bx, by, 0.0);
         for (int i = 0; i < 64; ++i) residual[i] -= refBlk[i];
         int coeffs[64];
-        quantizeBlock(forwardDct(residual), quant, coeffs);
+        quantizeBlock(forwardDct(residual), zq, coeffs);
         encodeBlock(coeffs, dcPred, out);
         if (recon != nullptr) {
-          addBlock(inverseDct(dequantizeBlock(coeffs, quant)), ref[p],
+          addBlock(inverseDct(dequantizeBlock(coeffs, zq)), ref[p],
                    (*recon)[p], w, h, bx, by);
         }
       }
@@ -328,9 +319,9 @@ void encodeInterPlanes(const Planes& cur, const Planes& ref, int w, int h,
 
 EncodedFrame encodeFrame(const Image& frame, const CodecConfig& cfg) {
   checkFrameGeometry(frame);
-  const auto quant = quantMatrix(cfg.quality);
+  const ZigzagQuant zq = zigzagQuant(cfg.quality);
   ByteWriter out = frameHeader(cfg, kFrameIntra);
-  encodeIntraPlanes(toPlanes(frame), frame.width(), frame.height(), quant,
+  encodeIntraPlanes(toPlanes(frame), frame.width(), frame.height(), zq,
                     out, nullptr);
   return EncodedFrame{out.take(), /*intra=*/true};
 }
@@ -342,10 +333,10 @@ EncodedFrame encodePFrame(const Image& frame, const Image& reference,
       reference.height() != frame.height()) {
     throw std::invalid_argument("encodePFrame: reference geometry mismatch");
   }
-  const auto quant = quantMatrix(cfg.quality);
+  const ZigzagQuant zq = zigzagQuant(cfg.quality);
   ByteWriter out = frameHeader(cfg, kFrameInter);
   encodeInterPlanes(toPlanes(frame), toPlanes(reference), frame.width(),
-                    frame.height(), quant, cfg.skipThreshold, out, nullptr);
+                    frame.height(), zq, cfg.skipThreshold, out, nullptr);
   return EncodedFrame{out.take(), /*intra=*/false};
 }
 
@@ -357,7 +348,7 @@ Image decodeFrame(const EncodedFrame& frame, int width, int height,
   ByteReader r(frame.bytes);
   const int quality = r.u8();
   const std::uint8_t frameType = r.u8();
-  const auto quant = quantMatrix(quality == 0 ? 1 : quality);
+  const ZigzagQuant zq = zigzagQuant(quality == 0 ? 1 : quality);
 
   const bool inter = frameType == kFrameInter;
   if (frameType != kFrameIntra && !inter) {
@@ -378,6 +369,9 @@ Image decodeFrame(const EncodedFrame& frame, int width, int height,
   for (auto& p : planes) {
     p.assign(static_cast<std::size_t>(width) * height, 0.0);
   }
+  void (*const inverseDct8x8)(const double*, double*) =
+      kernels::active().inverseDct8x8;
+  Block8x8 blk;
   const int bw = blocksAcross(width);
   const int bh = blocksAcross(height);
   for (int p = 0; p < 3; ++p) {
@@ -385,16 +379,18 @@ Image decodeFrame(const EncodedFrame& frame, int width, int height,
     for (int by = 0; by < bh; ++by) {
       for (int bx = 0; bx < bw; ++bx) {
         if (!inter) {
-          storeBlock(inverseDct(decodeBlock(quant, dcPred, r)), planes[p],
-                     width, height, bx, by, 128.0);
+          decodeBlock(zq, dcPred, r, blk);
+          inverseDct8x8(blk.data(), blk.data());
+          storeBlock(blk, planes[p], width, height, bx, by, 128.0);
           continue;
         }
         const std::uint8_t mode = r.u8();
         if (mode == kBlockSkip) {
           copyBlock(ref[p], planes[p], width, height, bx, by);
         } else if (mode == kBlockDelta) {
-          addBlock(inverseDct(decodeBlock(quant, dcPred, r)), ref[p],
-                   planes[p], width, height, bx, by);
+          decodeBlock(zq, dcPred, r, blk);
+          inverseDct8x8(blk.data(), blk.data());
+          addBlock(blk, ref[p], planes[p], width, height, bx, by);
         } else {
           throw std::runtime_error("decodeFrame: unknown block mode");
         }
@@ -423,7 +419,7 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
   // the quantized coefficients it has just coded (the decoder's exact
   // dequantize + inverse DCT + colour steps), and only when a P frame
   // follows -- intra-only streams never reconstruct at all.
-  const auto quant = quantMatrix(cfg.quality);
+  const ZigzagQuant zq = zigzagQuant(cfg.quality);
   const auto gop = static_cast<std::size_t>(cfg.gopLength);
   const int w = out.width;
   const int h = out.height;
@@ -436,9 +432,9 @@ EncodedClip encodeClip(const VideoClip& clip, const CodecConfig& cfg) {
     const Planes cur = toPlanes(clip.frames[i]);
     ByteWriter bytes = frameHeader(cfg, intra ? kFrameIntra : kFrameInter);
     if (intra) {
-      encodeIntraPlanes(cur, w, h, quant, bytes, reconOut);
+      encodeIntraPlanes(cur, w, h, zq, bytes, reconOut);
     } else {
-      encodeInterPlanes(cur, ref, w, h, quant, cfg.skipThreshold, bytes,
+      encodeInterPlanes(cur, ref, w, h, zq, cfg.skipThreshold, bytes,
                         reconOut);
     }
     out.frames.push_back(EncodedFrame{bytes.take(), intra});

@@ -20,11 +20,19 @@
 //
 // Closed loop: a P frame is coded against the frame the DECODER will hold,
 // not the source.  encodeClip builds that reference inside the encoder from
-// the quantized coefficients it has just coded -- the decoder's own
-// dequantize, inverse DCT and colour conversion on the same doubles, so it
-// is bit-exact by construction -- and only when the next frame is a P
-// frame.  Intra-only clips (gopLength = 1, the serving default) never
-// reconstruct at all, and encodeClip never calls decodeFrame.
+// the quantized coefficients it has just coded -- the same dequantized
+// doubles (double(c) * q in each coefficient's zigzag slot, +0.0
+// elsewhere), inverse DCT and colour conversion the decoder runs, so it is
+// bit-exact by construction -- and only when the next frame is a P frame.
+// Intra-only clips (gopLength = 1, the serving default) never reconstruct
+// at all, and encodeClip never calls decodeFrame.
+//
+// Decode: the entropy decoder writes each coefficient straight into its
+// dequantized slot of the block (no integer coefficient array and no
+// separate dequantize pass), range-checking every varint first; the
+// inverse DCT runs in place and skips all-zero rows; the colour step runs
+// through media::kernels' planesToRgb.  All three are bit-exact against the
+// plain loops, at every SIMD dispatch level.
 #pragma once
 
 #include <cstdint>

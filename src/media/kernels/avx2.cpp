@@ -8,8 +8,9 @@
 // intrinsics (no FMA contraction possible), truncating conversions
 // matching the scalar casts, and exact integer reductions everywhere else.
 // The DCT pair runs four output coefficients per vector, each lane keeping
-// its output's scalar product-and-sum order.  See kernels.h and DESIGN.md
-// sec. 12.
+// its output's scalar product-and-sum order, and the inverse skips zero
+// rows as the scalar reference does.  The colour pair converts four pixels
+// per vector.  See kernels.h and DESIGN.md sec. 12.
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
@@ -435,8 +436,17 @@ inline void matmul8x8(const double* a, const double* b, double* out) {
   }
 }
 
-// Forward: tmp = in x C^T (rows), out = C x tmp (columns).  Inverse:
-// tmp = in x C, out = C^T x tmp.  Same products, same order as scalar.
+/// True if row `row` of a block holds a value other than +-0.0 (a bit
+/// below the sign bit is set; NaN counts as live).
+inline bool rowLive(const double* row) {
+  const __m256i v = _mm256_castpd_si256(
+      _mm256_or_pd(_mm256_loadu_pd(row), _mm256_loadu_pd(row + 4)));
+  return _mm256_testz_si256(v, _mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFll)) ==
+         0;
+}
+
+// Forward: tmp = in x C^T (rows), out = C x tmp (columns).  Same products,
+// same order as scalar.
 void forwardDct8x8Avx2(const double* in, double* out) {
   const detail::DctTables& t = detail::dctTables();
   alignas(32) double tmp[64];
@@ -444,11 +454,152 @@ void forwardDct8x8Avx2(const double* in, double* out) {
   matmul8x8(&t.c[0][0], tmp, out);
 }
 
+/// Pass 1 of the inverse for one input row: tmpRow[x] = sum_k inRow[k] *
+/// c[k][x] from 0.0 in ascending k.  Row 0 of c is one constant, so the
+/// k = 0 partial sum is a single double for every x.
+inline void inverseRow(const double* inRow, const detail::DctTables& t,
+                       double* tmpRow) {
+  const __m256d first = _mm256_set1_pd(0.0 + inRow[0] * t.c[0][0]);
+  __m256d lo = first;
+  __m256d hi = first;
+#pragma GCC unroll 7
+  for (int k = 1; k < 8; ++k) {
+    const __m256d s = _mm256_broadcast_sd(inRow + k);
+    lo = _mm256_add_pd(lo, _mm256_mul_pd(s, _mm256_load_pd(t.c[k])));
+    hi = _mm256_add_pd(hi, _mm256_mul_pd(s, _mm256_load_pd(t.c[k] + 4)));
+  }
+  _mm256_store_pd(tmpRow, lo);
+  _mm256_store_pd(tmpRow + 4, hi);
+}
+
+/// Pass 2 of the inverse: out row y = sum over the rows j of tmp listed in
+/// `live` (ascending) of c[j][y] * tmp row j, each output from 0.0.
+/// Column 0 of C^T is one constant, so when row 0 is live the j = 0
+/// partial sum 0.0 + tmp[0][x] * c[0][y] is the same for every y.
+inline void inverseColumns(const double* tmp, const int* live, int count,
+                           const detail::DctTables& t, double* out) {
+  __m256d baseLo = _mm256_setzero_pd();
+  __m256d baseHi = _mm256_setzero_pd();
+  int first = 0;
+  if (count > 0 && live[0] == 0) {
+    const __m256d c0 = _mm256_set1_pd(t.c[0][0]);
+    baseLo = _mm256_add_pd(baseLo, _mm256_mul_pd(_mm256_load_pd(tmp), c0));
+    baseHi =
+        _mm256_add_pd(baseHi, _mm256_mul_pd(_mm256_load_pd(tmp + 4), c0));
+    first = 1;
+  }
+  for (int y = 0; y < 8; ++y) {
+    __m256d lo = baseLo;
+    __m256d hi = baseHi;
+    for (int n = first; n < count; ++n) {
+      const int j = live[n];
+      const __m256d s = _mm256_broadcast_sd(&t.ct[y][j]);
+      lo = _mm256_add_pd(lo, _mm256_mul_pd(s, _mm256_load_pd(tmp + j * 8)));
+      hi = _mm256_add_pd(hi,
+                         _mm256_mul_pd(s, _mm256_load_pd(tmp + j * 8 + 4)));
+    }
+    _mm256_storeu_pd(out + y * 8, lo);
+    _mm256_storeu_pd(out + y * 8 + 4, hi);
+  }
+}
+
+/// The inverse of a block whose last row is +-0.0: rows 0-6 that are
+/// +-0.0 too drop out of both passes.
+[[gnu::noinline]] void inverseDct8x8Sparse(const double* in, double* out) {
+  const detail::DctTables& t = detail::dctTables();
+  alignas(32) double tmp[64];
+  int live[7];
+  int count = 0;
+  for (int j = 0; j < 7; ++j) {
+    if (!rowLive(in + j * 8)) continue;
+    inverseRow(in + j * 8, t, tmp + j * 8);
+    live[count++] = j;
+  }
+  inverseColumns(tmp, live, count, t, out);
+}
+
 void inverseDct8x8Avx2(const double* in, double* out) {
+  if (!rowLive(in + 56)) {
+    inverseDct8x8Sparse(in, out);
+    return;
+  }
+  // A live last row marks a dense block: one test, then the plain passes
+  // (any zero rows among the others cost their products, not their bits).
   const detail::DctTables& t = detail::dctTables();
   alignas(32) double tmp[64];
   matmul8x8(in, &t.c[0][0], tmp);
   matmul8x8(&t.ct[0][0], tmp, out);
+}
+
+/// clamp8 of four lanes, as int32: trunc(min(max(v + 0.5, 0), 255)).  For
+/// v <= 0 the sum is at most 0.5 and truncates to 0; for v >= 255 it is at
+/// least 255.5 and clamps to 255; in between it stays below 255.5, so the
+/// min cannot change its truncation.  Every lane equals clamp8(v).
+inline __m128i clamp8x4(__m256d v) {
+  const __m256d t = _mm256_min_pd(
+      _mm256_max_pd(_mm256_add_pd(v, _mm256_set1_pd(0.5)),
+                    _mm256_setzero_pd()),
+      _mm256_set1_pd(255.0));
+  return _mm256_cvttpd_epi32(t);
+}
+
+void rgbToPlanesAvx2(const Rgb8* px, std::size_t n, double* y, double* cb,
+                     double* cr) {
+  const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(px);
+  std::size_t i = 0;
+  for (; i + 6 <= n; i += 4) {  // loadRgb4 reads 16 bytes
+    const Rgb4d p = loadRgb4(bytes + 3 * i);
+    const __m256d yv = _mm256_add_pd(
+        _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(kLumaR), p.r),
+                      _mm256_mul_pd(_mm256_set1_pd(kLumaG), p.g)),
+        _mm256_mul_pd(_mm256_set1_pd(kLumaB), p.b));
+    const __m256d cbv = _mm256_add_pd(
+        _mm256_set1_pd(128.0),
+        _mm256_add_pd(
+            _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(-detail::kCbR), p.r),
+                          _mm256_mul_pd(_mm256_set1_pd(detail::kCbG), p.g)),
+            _mm256_mul_pd(_mm256_set1_pd(detail::kCbB), p.b)));
+    const __m256d crv = _mm256_add_pd(
+        _mm256_set1_pd(128.0),
+        _mm256_sub_pd(
+            _mm256_sub_pd(_mm256_mul_pd(_mm256_set1_pd(detail::kCrR), p.r),
+                          _mm256_mul_pd(_mm256_set1_pd(detail::kCrG), p.g)),
+            _mm256_mul_pd(_mm256_set1_pd(detail::kCrB), p.b)));
+    _mm256_storeu_pd(y + i, yv);
+    _mm256_storeu_pd(cb + i, cbv);
+    _mm256_storeu_pd(cr + i, crv);
+  }
+  detail::rgbToPlanesRange(px + i, n - i, y + i, cb + i, cr + i);
+}
+
+void planesToRgbAvx2(const double* y, const double* cb, const double* cr,
+                     std::size_t n, Rgb8* out) {
+  const __m256d c128 = _mm256_set1_pd(128.0);
+  // Bytes r0..r3 g0..g3 b0..b3 -> r0 g0 b0 r1 g1 b1 ... (12 bytes).
+  const __m128i interleave = _mm_setr_epi8(0, 4, 8, 1, 5, 9, 2, 6,  //
+                                           10, 3, 7, 11, -1, -1, -1, -1);
+  std::uint8_t* outp = reinterpret_cast<std::uint8_t*>(out);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d yv = _mm256_loadu_pd(y + i);
+    const __m256d cbv = _mm256_sub_pd(_mm256_loadu_pd(cb + i), c128);
+    const __m256d crv = _mm256_sub_pd(_mm256_loadu_pd(cr + i), c128);
+    const __m128i r = clamp8x4(
+        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(detail::kRCr), crv)));
+    const __m128i g = clamp8x4(_mm256_sub_pd(
+        _mm256_sub_pd(yv, _mm256_mul_pd(_mm256_set1_pd(detail::kGCb), cbv)),
+        _mm256_mul_pd(_mm256_set1_pd(detail::kGCr), crv)));
+    const __m128i b = clamp8x4(
+        _mm256_add_pd(yv, _mm256_mul_pd(_mm256_set1_pd(detail::kBCb), cbv)));
+    const __m128i bytes = _mm_shuffle_epi8(
+        _mm_packus_epi16(_mm_packs_epi32(r, g), _mm_packs_epi32(b, b)),
+        interleave);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(outp + 3 * i), bytes);
+    const std::uint32_t last =
+        static_cast<std::uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(bytes, 8)));
+    __builtin_memcpy(outp + 3 * i + 8, &last, 4);
+  }
+  detail::planesToRgbRange(y + i, cb + i, cr + i, n - i, out + i);
 }
 
 }  // namespace
@@ -459,7 +610,8 @@ const KernelTable& avx2Table() noexcept {
       maxChannelHistogramAvx2, lumaPlaneAvx2, histAccumulateAvx2,
       emdNumeratorAvx2,    scalePixelsAvx2,   countClippedAvx2,
       tailBudgetLevelAvx2, lowPointAvx2,      highPointAvx2,
-      forwardDct8x8Avx2,   inverseDct8x8Avx2,
+      forwardDct8x8Avx2,   inverseDct8x8Avx2, rgbToPlanesAvx2,
+      planesToRgbAvx2,
   };
   return kTable;
 }

@@ -4,7 +4,7 @@
 // luma extraction, 256-bin histogram build, min/max/sum stats, the
 // compensation transform C' = min(1, C*k), clipped-pixel counting, the
 // per-frame histogram earth-mover's distance of the EMD scene detector, and
-// the codec's 8x8 forward/inverse DCT.
+// the codec's 8x8 forward/inverse DCT and RGB <-> YCbCr plane conversion.
 // This layer provides one scalar reference implementation per kernel plus
 // SSE2/AVX2 (x86-64) variants behind a single dispatch table selected once
 // at startup via CPUID.  There is no NEON code: the `neon` level exists so
@@ -14,11 +14,11 @@
 // kernel produces output byte-identical to the scalar reference, on every
 // input, by construction:
 //
-//   * Floating-point kernels (frame profile, pixel scale) vectorize ACROSS
-//     pixels while keeping each pixel's IEEE-754 operation sequence exactly
-//     the one the scalar code performs (same multiplies, same adds, same
-//     order, no FMA contraction).  Lanes are pixels, so vectorization
-//     cannot change any pixel's rounding.
+//   * Floating-point kernels (frame profile, pixel scale, colour
+//     conversion) vectorize ACROSS pixels while keeping each pixel's
+//     IEEE-754 operation sequence exactly the one the scalar code performs
+//     (same multiplies, same adds, same order, no FMA contraction).  Lanes
+//     are pixels, so vectorization cannot change any pixel's rounding.
 //   * Integer kernels (histogram build/merge, EMD numerator, tail scans,
 //     clipped counting) are exact, so accumulation order is irrelevant and
 //     any lane decomposition gives the same result.
@@ -28,6 +28,19 @@
 //     as the scalar loop does.  Only the cosine operand is transposed or
 //     broadcast, and IEEE multiplication is commutative, so every output
 //     rounds identically.
+//   * The inverse DCT skips all-zero input rows in both passes, at every
+//     level including scalar.  Every accumulator starts at +0.0, and under
+//     round-to-nearest a sum that starts at +0.0 never becomes -0.0 (x + y
+//     is -0.0 only when both are -0.0).  A zero row -- +0.0 or -0.0
+//     entries alike, since +-0 times a finite cosine is +-0 -- therefore
+//     adds only +-0 products, and adding +-0 to a sum that is never -0.0
+//     leaves it unchanged.  Pass 1 turns a zero row into a row of +0.0, so
+//     pass 2 drops that row's products too.  Skipping is exact, not a
+//     tolerance: skipping any subset of the zero rows gives the dense
+//     loops' bits.  Every level decides alike, with one test on dense
+//     blocks: a nonzero last row runs the dense loops; otherwise every zero
+//     row among rows 0-6 drops out.  Zig-zag order fills the low rows
+//     first, so decoded blocks nearly always end in zero rows.
 //   * The EMD kernel computes an exact integer numerator
 //         sum_v | cdfA(v)*totalB - cdfB(v)*totalA |
 //     and performs a SINGLE final floating divide by totalA*totalB, so
@@ -123,6 +136,17 @@ struct KernelTable {
   /// `in` and `out` may alias.
   void (*forwardDct8x8)(const double* in, double* out);
   void (*inverseDct8x8)(const double* in, double* out);
+
+  /// (7) Codec colour conversion between interleaved RGB and three
+  /// full-range BT.601 YCbCr planes of doubles (chroma centred on 128).
+  /// rgbToPlanes is the encoder's front end and rebuilds the P-frame
+  /// reference; planesToRgb is the decoder's back end and rounds every
+  /// channel with media::clamp8.  Planes are n doubles each, and no output
+  /// may alias an input.
+  void (*rgbToPlanes)(const Rgb8* px, std::size_t n, double* y, double* cb,
+                      double* cr);
+  void (*planesToRgb)(const double* y, const double* cb, const double* cr,
+                      std::size_t n, Rgb8* out);
 };
 
 /// Smallest 8-bit channel code whose clamp-scale by k (k >= 0) clips, or

@@ -28,7 +28,9 @@ namespace anno::media::kernels::detail {
 /// Cosine basis of the 8x8 DCT: c[k][n] = c(k) * cos((2n+1) k pi / 16) with
 /// c(0) = sqrt(1/8), c(k>0) = sqrt(2/8), and its transpose ct[n][k] =
 /// c[k][n] (an exact copy) for kernels whose lanes run along k.  Built once,
-/// in scalar.cpp, so every variant multiplies by the same doubles.
+/// in scalar.cpp, so every variant multiplies by the same doubles.  Row 0
+/// is sqrt(1/8) in every column (cos 0 = 1 exactly), so a product with a
+/// row-0 entry does not depend on the column.
 struct DctTables {
   alignas(32) double c[8][8];
   alignas(32) double ct[8][8];
@@ -36,9 +38,49 @@ struct DctTables {
 [[nodiscard]] const DctTables& dctTables() noexcept;
 
 /// The scalar DCT pair (defined in scalar.cpp): the reference every variant
-/// matches bit-for-bit.
+/// matches bit-for-bit.  The inverse skips all-zero input rows (see the
+/// contract in kernels.h).
 void forwardDct8x8Reference(const double* in, double* out);
 void inverseDct8x8Reference(const double* in, double* out);
+
+/// BT.601 full-range colour coefficients of the codec's colour pair.  The
+/// negative terms are subtracted, in the order the scalar bodies below
+/// spell out; every variant uses these doubles.
+inline constexpr double kCbR = 0.168736;
+inline constexpr double kCbG = 0.331264;
+inline constexpr double kCbB = 0.5;
+inline constexpr double kCrR = 0.5;
+inline constexpr double kCrG = 0.418688;
+inline constexpr double kCrB = 0.081312;
+inline constexpr double kRCr = 1.402;
+inline constexpr double kGCb = 0.344136;
+inline constexpr double kGCr = 0.714136;
+inline constexpr double kBCb = 1.772;
+
+/// RGB -> YCbCr planes, one pixel at a time: the op sequence every lane of
+/// every variant performs.
+inline void rgbToPlanesRange(const Rgb8* px, std::size_t n, double* y,
+                             double* cb, double* cr) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = px[i].r;
+    const double g = px[i].g;
+    const double b = px[i].b;
+    y[i] = kLumaR * r + kLumaG * g + kLumaB * b;
+    cb[i] = 128.0 + (-kCbR * r - kCbG * g + kCbB * b);
+    cr[i] = 128.0 + (kCrR * r - kCrG * g - kCrB * b);
+  }
+}
+
+/// YCbCr planes -> RGB with clamp8 rounding, one pixel at a time.
+inline void planesToRgbRange(const double* y, const double* cb,
+                             const double* cr, std::size_t n, Rgb8* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = y[i] + kRCr * (cr[i] - 128.0);
+    const double g = y[i] - kGCb * (cb[i] - 128.0) - kGCr * (cr[i] - 128.0);
+    const double b = y[i] + kBCb * (cb[i] - 128.0);
+    out[i] = Rgb8{clamp8(r), clamp8(g), clamp8(b)};
+  }
+}
 
 /// Accumulates `n` RGB pixels into an in-progress profile.  `minAcc` /
 /// `maxAcc` are int running values (255 / 0 sentinels when empty) so the

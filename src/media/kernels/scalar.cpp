@@ -48,20 +48,57 @@ void forwardDct8x8Reference(const double* in, double* out) {
 
 void inverseDct8x8Reference(const double* in, double* out) {
   const auto& C = dctTables().c;
+  // live(j): input row j holds a value other than +-0.0.
+  const auto live = [in](int j) {
+    for (int k = 0; k < 8; ++k) {
+      if (in[j * 8 + k] != 0.0) return true;
+    }
+    return false;
+  };
   double tmp[64];
-  for (int j = 0; j < 8; ++j) {
+  if (live(7)) {
+    // A live last row marks a dense block: the plain loops, which an
+    // optimizing compiler vectorizes (any zero rows among the others cost
+    // their products, not their bits).
+    for (int j = 0; j < 8; ++j) {
+      for (int x = 0; x < 8; ++x) {
+        double acc = 0.0;
+        for (int k = 0; k < 8; ++k) acc += in[j * 8 + k] * C[k][x];
+        tmp[j * 8 + x] = acc;
+      }
+    }
     for (int x = 0; x < 8; ++x) {
-      double acc = 0.0;
-      for (int k = 0; k < 8; ++k) acc += in[j * 8 + k] * C[k][x];
-      tmp[j * 8 + x] = acc;
+      for (int y = 0; y < 8; ++y) {
+        double acc = 0.0;
+        for (int j = 0; j < 8; ++j) acc += tmp[j * 8 + x] * C[j][y];
+        out[y * 8 + x] = acc;
+      }
+    }
+    return;
+  }
+  // Otherwise the zero rows drop out of both passes: a dead row's pass-1
+  // sums are +0.0 and its pass-2 products +-0, which leave every sum
+  // unchanged (kernels.h).  Each output accumulates in its own slot, from
+  // +0.0 in ascending index order, along a row so the loops vectorize.
+  bool liveRow[7];
+  for (int j = 0; j < 7; ++j) {
+    double* row = tmp + j * 8;
+    for (int x = 0; x < 8; ++x) row[x] = 0.0;
+    liveRow[j] = live(j);
+    if (!liveRow[j]) continue;
+    for (int k = 0; k < 8; ++k) {
+      const double a = in[j * 8 + k];
+      for (int x = 0; x < 8; ++x) row[x] += a * C[k][x];
     }
   }
-  for (int x = 0; x < 8; ++x) {
-    for (int y = 0; y < 8; ++y) {
-      double acc = 0.0;
-      for (int j = 0; j < 8; ++j) acc += tmp[j * 8 + x] * C[j][y];
-      out[y * 8 + x] = acc;
+  for (int y = 0; y < 8; ++y) {
+    double acc[8] = {};
+    for (int j = 0; j < 7; ++j) {
+      if (!liveRow[j]) continue;
+      const double c = C[j][y];
+      for (int x = 0; x < 8; ++x) acc[x] += tmp[j * 8 + x] * c;
     }
+    for (int x = 0; x < 8; ++x) out[y * 8 + x] = acc[x];
   }
 }
 
@@ -124,6 +161,16 @@ int highPointScalar(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
+void rgbToPlanesScalar(const Rgb8* px, std::size_t n, double* y, double* cb,
+                       double* cr) {
+  detail::rgbToPlanesRange(px, n, y, cb, cr);
+}
+
+void planesToRgbScalar(const double* y, const double* cb, const double* cr,
+                       std::size_t n, Rgb8* out) {
+  detail::planesToRgbRange(y, cb, cr, n, out);
+}
+
 }  // namespace
 
 const KernelTable& scalarTable() noexcept {
@@ -133,6 +180,7 @@ const KernelTable& scalarTable() noexcept {
       emdNumeratorScalar,    scalePixelsScalar,   countClippedScalar,
       tailBudgetLevelScalar, lowPointScalar,      highPointScalar,
       detail::forwardDct8x8Reference, detail::inverseDct8x8Reference,
+      rgbToPlanesScalar,     planesToRgbScalar,
   };
   return kTable;
 }

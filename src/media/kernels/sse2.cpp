@@ -6,7 +6,9 @@
 // integer kernels are exact.  Clipped counting compares bytes against a
 // threshold derived from the scalar predicate (detail::clipThreshold), so
 // it reproduces the per-pixel double comparison on every input.  The DCT
-// pair runs two output coefficients per vector in the scalar order.
+// pair runs two output coefficients per vector in the scalar order, and the
+// inverse skips zero rows as the scalar reference does.  The colour pair
+// converts two pixels per vector.
 //
 // This TU is compiled WITHOUT extra ISA flags: SSE2 is part of the x86-64
 // ABI, so the intrinsics below are always available here.
@@ -222,33 +224,60 @@ int highPointSse2(const std::uint64_t* counts, std::uint64_t budget) {
   return detail::highPointRange(counts, budget);
 }
 
-/// out = a x b for row-major 8x8 matrices, two output columns per vector:
-/// each output accumulates a[r][i] * b[i][col] from 0.0 over ascending i,
-/// the scalar DCT loop's order.  `out` must not alias `a` or `b`.
-inline void matmul8x8(const double* a, const double* b, double* out) {
-  for (int r = 0; r < 8; ++r) {
-    __m128d acc0 = _mm_setzero_pd();
-    __m128d acc1 = _mm_setzero_pd();
-    __m128d acc2 = _mm_setzero_pd();
-    __m128d acc3 = _mm_setzero_pd();
+/// Row `aRow` of an 8x8 product a x b, two output columns per vector: each
+/// output accumulates aRow[i] * b[i][col] from 0.0 over ascending i, the
+/// scalar DCT loop's order.  `b` must be 16-byte aligned (the cosine
+/// tables and the transforms' scratch are).
+inline void matmulRow(const double* aRow, const double* b, double* outRow) {
+  __m128d acc0 = _mm_setzero_pd();
+  __m128d acc1 = _mm_setzero_pd();
+  __m128d acc2 = _mm_setzero_pd();
+  __m128d acc3 = _mm_setzero_pd();
 #pragma GCC unroll 8
-    for (int i = 0; i < 8; ++i) {
-      const __m128d s = _mm_set1_pd(a[r * 8 + i]);
-      const double* row = b + i * 8;
-      acc0 = _mm_add_pd(acc0, _mm_mul_pd(s, _mm_loadu_pd(row)));
-      acc1 = _mm_add_pd(acc1, _mm_mul_pd(s, _mm_loadu_pd(row + 2)));
-      acc2 = _mm_add_pd(acc2, _mm_mul_pd(s, _mm_loadu_pd(row + 4)));
-      acc3 = _mm_add_pd(acc3, _mm_mul_pd(s, _mm_loadu_pd(row + 6)));
-    }
-    _mm_storeu_pd(out + r * 8, acc0);
-    _mm_storeu_pd(out + r * 8 + 2, acc1);
-    _mm_storeu_pd(out + r * 8 + 4, acc2);
-    _mm_storeu_pd(out + r * 8 + 6, acc3);
+  for (int i = 0; i < 8; ++i) {
+    const __m128d s = _mm_set1_pd(aRow[i]);
+    const double* row = b + i * 8;
+    acc0 = _mm_add_pd(acc0, _mm_mul_pd(s, _mm_load_pd(row)));
+    acc1 = _mm_add_pd(acc1, _mm_mul_pd(s, _mm_load_pd(row + 2)));
+    acc2 = _mm_add_pd(acc2, _mm_mul_pd(s, _mm_load_pd(row + 4)));
+    acc3 = _mm_add_pd(acc3, _mm_mul_pd(s, _mm_load_pd(row + 6)));
   }
+  _mm_storeu_pd(outRow, acc0);
+  _mm_storeu_pd(outRow + 2, acc1);
+  _mm_storeu_pd(outRow + 4, acc2);
+  _mm_storeu_pd(outRow + 6, acc3);
 }
 
-// Forward: tmp = in x C^T (rows), out = C x tmp (columns).  Inverse:
-// tmp = in x C, out = C^T x tmp.  Same products, same order as scalar.
+/// The 32 vectors of an 8x8 matrix do not fit in 16 XMM registers.  Fully
+/// unrolled (-O3), GCC would load them once for all eight rows of a
+/// product and spill most of them; passing the pointer through this
+/// barrier once per row hides that the rows read the same memory, so the
+/// vectors stay loads.
+inline const double* perRow(const double* p) {
+  __asm__("" : "+r"(p));
+  return p;
+}
+
+/// out = a x b for row-major 8x8 matrices.  `out` must not alias `a` or
+/// `b`; `b` is 16-byte aligned.
+inline void matmul8x8(const double* a, const double* b, double* out) {
+  for (int r = 0; r < 8; ++r) matmulRow(a + r * 8, perRow(b), out + r * 8);
+}
+
+/// True if `row` (8 doubles) holds a value other than +-0.0 (NaN
+/// compares unequal, so it counts as live).
+inline bool rowLive(const double* row) {
+  const __m128d zero = _mm_setzero_pd();
+  const __m128d nz =
+      _mm_or_pd(_mm_or_pd(_mm_cmpneq_pd(_mm_loadu_pd(row), zero),
+                          _mm_cmpneq_pd(_mm_loadu_pd(row + 2), zero)),
+                _mm_or_pd(_mm_cmpneq_pd(_mm_loadu_pd(row + 4), zero),
+                          _mm_cmpneq_pd(_mm_loadu_pd(row + 6), zero)));
+  return _mm_movemask_pd(nz) != 0;
+}
+
+// Forward: tmp = in x C^T (rows), out = C x tmp (columns).  Same products,
+// same order as scalar.
 void forwardDct8x8Sse2(const double* in, double* out) {
   const detail::DctTables& t = detail::dctTables();
   alignas(16) double tmp[64];
@@ -256,11 +285,175 @@ void forwardDct8x8Sse2(const double* in, double* out) {
   matmul8x8(&t.c[0][0], tmp, out);
 }
 
+/// Pass 1 of the inverse for one input row: tmpRow[x] = sum_k inRow[k] *
+/// c[k][x] from 0.0 in ascending k.  Row 0 of c is one constant, so the
+/// k = 0 partial sum is a single double for every x.
+inline void inverseRow(const double* inRow, const detail::DctTables& t,
+                       double* tmpRow) {
+  const double* c = perRow(&t.c[0][0]);
+  const __m128d first = _mm_set1_pd(0.0 + inRow[0] * t.c[0][0]);
+  __m128d acc0 = first;
+  __m128d acc1 = first;
+  __m128d acc2 = first;
+  __m128d acc3 = first;
+#pragma GCC unroll 7
+  for (int k = 1; k < 8; ++k) {
+    const __m128d s = _mm_set1_pd(inRow[k]);
+    const double* row = c + k * 8;
+    acc0 = _mm_add_pd(acc0, _mm_mul_pd(s, _mm_load_pd(row)));
+    acc1 = _mm_add_pd(acc1, _mm_mul_pd(s, _mm_load_pd(row + 2)));
+    acc2 = _mm_add_pd(acc2, _mm_mul_pd(s, _mm_load_pd(row + 4)));
+    acc3 = _mm_add_pd(acc3, _mm_mul_pd(s, _mm_load_pd(row + 6)));
+  }
+  _mm_store_pd(tmpRow, acc0);
+  _mm_store_pd(tmpRow + 2, acc1);
+  _mm_store_pd(tmpRow + 4, acc2);
+  _mm_store_pd(tmpRow + 6, acc3);
+}
+
+/// Pass 2 of the inverse: out row y = sum over the rows j of tmp listed in
+/// `live` (ascending) of c[j][y] * tmp row j, each output from 0.0.
+/// Column 0 of C^T is one constant, so when row 0 is live the j = 0
+/// partial sum 0.0 + tmp[0][x] * c[0][y] is the same for every y.
+inline void inverseColumns(const double* tmp, const int* live, int count,
+                           const detail::DctTables& t, double* out) {
+  __m128d base[4];
+  for (__m128d& v : base) v = _mm_setzero_pd();
+  int first = 0;
+  if (count > 0 && live[0] == 0) {
+    const __m128d c0 = _mm_set1_pd(t.c[0][0]);
+    for (int v = 0; v < 4; ++v) {
+      base[v] = _mm_add_pd(base[v], _mm_mul_pd(_mm_load_pd(tmp + 2 * v), c0));
+    }
+    first = 1;
+  }
+  for (int y = 0; y < 8; ++y) {
+    __m128d acc0 = base[0];
+    __m128d acc1 = base[1];
+    __m128d acc2 = base[2];
+    __m128d acc3 = base[3];
+    for (int n = first; n < count; ++n) {
+      const __m128d s = _mm_set1_pd(t.ct[y][live[n]]);
+      const double* row = tmp + live[n] * 8;
+      acc0 = _mm_add_pd(acc0, _mm_mul_pd(s, _mm_load_pd(row)));
+      acc1 = _mm_add_pd(acc1, _mm_mul_pd(s, _mm_load_pd(row + 2)));
+      acc2 = _mm_add_pd(acc2, _mm_mul_pd(s, _mm_load_pd(row + 4)));
+      acc3 = _mm_add_pd(acc3, _mm_mul_pd(s, _mm_load_pd(row + 6)));
+    }
+    _mm_storeu_pd(out + y * 8, acc0);
+    _mm_storeu_pd(out + y * 8 + 2, acc1);
+    _mm_storeu_pd(out + y * 8 + 4, acc2);
+    _mm_storeu_pd(out + y * 8 + 6, acc3);
+  }
+}
+
+/// The inverse of a block whose last row is +-0.0: rows 0-6 that are
+/// +-0.0 too drop out of both passes (kernels.h).
+[[gnu::noinline]] void inverseDct8x8Sparse(const double* in, double* out) {
+  const detail::DctTables& t = detail::dctTables();
+  alignas(16) double tmp[64];
+  int live[7];
+  int count = 0;
+  for (int j = 0; j < 7; ++j) {
+    if (!rowLive(in + j * 8)) continue;
+    inverseRow(in + j * 8, t, tmp + j * 8);
+    live[count++] = j;
+  }
+  inverseColumns(tmp, live, count, t, out);
+}
+
+// Inverse: tmp = in x C (rows), out = C^T x tmp (columns).  Every output
+// starts from 0.0 and adds its products in ascending order, as the scalar
+// loops do.
 void inverseDct8x8Sse2(const double* in, double* out) {
+  if (!rowLive(in + 56)) {
+    inverseDct8x8Sparse(in, out);
+    return;
+  }
+  // A live last row marks a dense block: one test, then the plain passes
+  // (any zero rows among the others cost their products, not their bits).
   const detail::DctTables& t = detail::dctTables();
   alignas(16) double tmp[64];
   matmul8x8(in, &t.c[0][0], tmp);
   matmul8x8(&t.ct[0][0], tmp, out);
+}
+
+/// clamp8 of two lanes, as int32: trunc(min(max(v + 0.5, 0), 255)).  For
+/// v <= 0 the sum is at most 0.5 and truncates to 0; for v >= 255 it is at
+/// least 255.5 and clamps to 255; in between it stays below 255.5, so the
+/// min cannot change its truncation.  Every lane equals clamp8(v).
+inline __m128i clamp8x2(__m128d v) {
+  const __m128d t = _mm_min_pd(
+      _mm_max_pd(_mm_add_pd(v, _mm_set1_pd(0.5)), _mm_setzero_pd()),
+      _mm_set1_pd(255.0));
+  return _mm_cvttpd_epi32(t);
+}
+
+void rgbToPlanesSse2(const Rgb8* px, std::size_t n, double* y, double* cb,
+                     double* cr) {
+  const std::uint8_t* bytes = reinterpret_cast<const std::uint8_t*>(px);
+  const __m128i zero = _mm_setzero_si128();
+  std::size_t i = 0;
+  // Two pixels per step from an 8-byte load of bytes [3i, 3i+8), in
+  // bounds while i + 3 <= n.
+  for (; i + 3 <= n; i += 2) {
+    const __m128i w = _mm_unpacklo_epi8(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(bytes + 3 * i)),
+        zero);
+    const __m128i q0 = _mm_unpacklo_epi16(w, zero);  // r0 g0 b0 r1
+    const __m128i q1 = _mm_unpackhi_epi16(w, zero);  // g1 b1 .. ..
+    const __m128i gb = _mm_unpacklo_epi32(_mm_srli_si128(q0, 4), q1);
+    const __m128d r =
+        _mm_cvtepi32_pd(_mm_shuffle_epi32(q0, _MM_SHUFFLE(3, 3, 3, 0)));
+    const __m128d g = _mm_cvtepi32_pd(gb);                       // g0 g1
+    const __m128d b = _mm_cvtepi32_pd(_mm_unpackhi_epi64(gb, gb));  // b0 b1
+    const __m128d yv = _mm_add_pd(
+        _mm_add_pd(_mm_mul_pd(_mm_set1_pd(kLumaR), r),
+                   _mm_mul_pd(_mm_set1_pd(kLumaG), g)),
+        _mm_mul_pd(_mm_set1_pd(kLumaB), b));
+    const __m128d cbv = _mm_add_pd(
+        _mm_set1_pd(128.0),
+        _mm_add_pd(_mm_sub_pd(_mm_mul_pd(_mm_set1_pd(-detail::kCbR), r),
+                              _mm_mul_pd(_mm_set1_pd(detail::kCbG), g)),
+                   _mm_mul_pd(_mm_set1_pd(detail::kCbB), b)));
+    const __m128d crv = _mm_add_pd(
+        _mm_set1_pd(128.0),
+        _mm_sub_pd(_mm_sub_pd(_mm_mul_pd(_mm_set1_pd(detail::kCrR), r),
+                              _mm_mul_pd(_mm_set1_pd(detail::kCrG), g)),
+                   _mm_mul_pd(_mm_set1_pd(detail::kCrB), b)));
+    _mm_storeu_pd(y + i, yv);
+    _mm_storeu_pd(cb + i, cbv);
+    _mm_storeu_pd(cr + i, crv);
+  }
+  detail::rgbToPlanesRange(px + i, n - i, y + i, cb + i, cr + i);
+}
+
+void planesToRgbSse2(const double* y, const double* cb, const double* cr,
+                     std::size_t n, Rgb8* out) {
+  const __m128d c128 = _mm_set1_pd(128.0);
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const __m128d yv = _mm_loadu_pd(y + i);
+    const __m128d cbv = _mm_sub_pd(_mm_loadu_pd(cb + i), c128);
+    const __m128d crv = _mm_sub_pd(_mm_loadu_pd(cr + i), c128);
+    const __m128i r =
+        clamp8x2(_mm_add_pd(yv, _mm_mul_pd(_mm_set1_pd(detail::kRCr), crv)));
+    const __m128i g = clamp8x2(
+        _mm_sub_pd(_mm_sub_pd(yv, _mm_mul_pd(_mm_set1_pd(detail::kGCb), cbv)),
+                   _mm_mul_pd(_mm_set1_pd(detail::kGCr), crv)));
+    const __m128i b =
+        clamp8x2(_mm_add_pd(yv, _mm_mul_pd(_mm_set1_pd(detail::kBCb), cbv)));
+    // Bytes r0 r1 g0 g1 b0 b1 in the low 48 bits; interleave to RGB RGB.
+    const __m128i w = _mm_packs_epi32(_mm_unpacklo_epi64(r, g), b);
+    const std::uint64_t v =
+        static_cast<std::uint64_t>(_mm_cvtsi128_si64(_mm_packus_epi16(w, w)));
+    out[i] = Rgb8{static_cast<std::uint8_t>(v), static_cast<std::uint8_t>(v >> 16),
+                  static_cast<std::uint8_t>(v >> 32)};
+    out[i + 1] =
+        Rgb8{static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v >> 24),
+             static_cast<std::uint8_t>(v >> 40)};
+  }
+  detail::planesToRgbRange(y + i, cb + i, cr + i, n - i, out + i);
 }
 
 }  // namespace
@@ -271,7 +464,8 @@ const KernelTable& sse2Table() noexcept {
       maxChannelHistogramSse2, lumaPlaneSse2, histAccumulateSse2,
       emdNumeratorSse2,    scalePixelsSse2,   countClippedSse2,
       tailBudgetLevelSse2, lowPointSse2,      highPointSse2,
-      forwardDct8x8Sse2,   inverseDct8x8Sse2,
+      forwardDct8x8Sse2,   inverseDct8x8Sse2, rgbToPlanesSse2,
+      planesToRgbSse2,
   };
   return kTable;
 }

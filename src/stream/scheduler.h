@@ -260,8 +260,11 @@ class SessionScheduler {
   std::map<std::uint64_t, Session> active_;
   std::map<std::uint64_t, SessionReport> reports_;
   /// Every distinct stream object a session has joined (the server memo's
-  /// shared bytes); its size is FleetStats::uniqueStreams.
-  std::set<SharedStream> joinedStreams_;
+  /// shared bytes); its size is FleetStats::uniqueStreams.  Held weakly,
+  /// by owner: the count outlives the bytes, which go once no session or
+  /// memo entry holds them.
+  std::set<std::weak_ptr<const std::vector<std::uint8_t>>, std::owner_less<>>
+      joinedStreams_;
   FleetStats stats_;
   Telemetry metrics_;
   std::int64_t playingCount_ = 0;

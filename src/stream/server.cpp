@@ -92,7 +92,10 @@ void MediaServer::addClips(std::vector<media::VideoClip> clips) {
   std::vector<std::vector<media::FrameStats>> stats;
   std::vector<core::AnnotationTrack> tracks =
       core::annotateClips(clips, annotatorCfg_, &stats);
+  std::vector<std::string> ingested;
+  ingested.reserve(clips.size());
   for (std::size_t i = 0; i < clips.size(); ++i) {
+    ingested.push_back(clips[i].name);
     CatalogEntry entry;
     entry.track = std::move(tracks[i]);
     entry.sketches = core::buildSketchTrack(entry.track, stats[i]);
@@ -111,9 +114,18 @@ void MediaServer::addClips(std::vector<media::VideoClip> clips) {
   }
   telemetry::set(metrics_.catalogSize,
                  static_cast<std::int64_t>(catalog_.size()));
-  // New or replaced content invalidates every memoized stream.
+  // New or replaced content invalidates the memoized streams of exactly the
+  // ingested names.  Every key starts with clipName + '\0', so a name's
+  // entries are one ordered range; other clips keep their streams.
   const std::lock_guard<std::mutex> lock(serveCacheMu_);
-  serveCache_.clear();
+  for (const std::string& name : ingested) {
+    std::string first = name;
+    first.push_back('\0');
+    std::string last = name;
+    last.push_back('\1');
+    serveCache_.erase(serveCache_.lower_bound(first),
+                      serveCache_.lower_bound(last));
+  }
 }
 
 std::vector<std::string> MediaServer::catalog() const {

@@ -112,8 +112,9 @@ class MediaServer {
   /// place served streams are keyed, per (clip, annotator fingerprint,
   /// exact negotiation bytes).  The first request for a negotiation
   /// compensates, encodes and muxes; every later one returns the same
-  /// object.  addClip(s) drops the memo: later requests get the new
-  /// content, and pointers handed out earlier keep their bytes.  Tenant
+  /// object.  addClip(s) drops the memo entries of the clips it ingests:
+  /// later requests for those clips get the new content, other clips keep
+  /// their streams, and pointers handed out earlier keep their bytes.  Tenant
   /// tracks resolve through the attached TrackCache (see annotationFor).
   /// Throws std::out_of_range for an unknown clip or quality index.
   [[nodiscard]] SharedStream serveShared(const std::string& clipName,

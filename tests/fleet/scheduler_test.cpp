@@ -270,6 +270,27 @@ TEST_F(SchedulerTest, JoinAfterReingestStreamsTheNewContent) {
   }
 }
 
+TEST_F(SchedulerTest, SupersededStreamBytesGoOnceTheirSessionsFinish) {
+  // The scheduler counts the streams it has joined without keeping their
+  // bytes: once a revision's sessions finish and a re-ingest drops it from
+  // the memo, nothing holds it.
+  SessionScheduler sched(server_);
+  const std::uint64_t id = sched.join(fastSession());
+  std::weak_ptr<const std::vector<std::uint8_t>> old =
+      server_.serveShared("catwoman", ipaqCaps());
+  sched.run();
+  ASSERT_EQ(sched.report(id).phase, SessionPhase::kCompleted);
+  EXPECT_FALSE(old.expired()) << "the server memo still holds the stream";
+  std::vector<media::VideoClip> clips;
+  clips.push_back(
+      media::generatePaperClip(media::PaperClip::kCatwoman, 0.04, 32, 24));
+  server_.addClips(std::move(clips));
+  EXPECT_TRUE(old.expired());
+  EXPECT_EQ(sched.stats().uniqueStreams, 1u);
+  (void)sched.join(fastSession());
+  EXPECT_EQ(sched.stats().uniqueStreams, 2u);
+}
+
 TEST_F(SchedulerTest, TenantSessionsResolveThroughTrackCache) {
   core::TrackCache cache;
   server_.attachTrackCache(cache);

@@ -2,8 +2,10 @@
 // must produce output BYTE-IDENTICAL to the scalar reference, on every
 // input shape that exercises a different code path -- ragged tails (sizes
 // not divisible by any vector width), empty and 1-pixel frames, full
-// saturation, and randomized content -- and the 8x8 DCT pair over 100k
-// seeded blocks.  See kernels.h for the contract.
+// saturation, and randomized content -- the 8x8 DCT pair over 100k
+// seeded blocks and every zero-row mask of the inverse, and the codec
+// colour pair over every RGB triple and the clamp edges.  See kernels.h for
+// the contract.
 #include "media/kernels/kernels.h"
 
 #include <gtest/gtest.h>
@@ -16,9 +18,11 @@
 #include <vector>
 
 #include "compensate/compensate.h"
+#include "media/codec.h"
 #include "media/dct.h"
 #include "media/histogram.h"
 #include "media/image.h"
+#include "media/kernels/kernels_internal.h"
 #include "media/luminance.h"
 #include "media/pixel.h"
 #include "media/rng.h"
@@ -522,6 +526,220 @@ TEST(Kernels, DctPairInPlaceMatchesOutOfPlace) {
   }
 }
 
+/// The inverse DCT as plain dense loops over the shared cosine table: every
+/// product of every row, zero or not.  The kernels skip zero rows; this is
+/// what skipping must reproduce bit for bit.
+Block8x8 denseInverseDct(const Block8x8& in) {
+  const auto& C = detail::dctTables().c;
+  double tmp[64];
+  for (int j = 0; j < 8; ++j) {
+    for (int x = 0; x < 8; ++x) {
+      double acc = 0.0;
+      for (int k = 0; k < 8; ++k) acc += in[j * 8 + k] * C[k][x];
+      tmp[j * 8 + x] = acc;
+    }
+  }
+  Block8x8 out;
+  for (int x = 0; x < 8; ++x) {
+    for (int y = 0; y < 8; ++y) {
+      double acc = 0.0;
+      for (int j = 0; j < 8; ++j) acc += tmp[j * 8 + x] * C[j][y];
+      out[y * 8 + x] = acc;
+    }
+  }
+  return out;
+}
+
+TEST(Kernels, InverseDctSkipsZeroRowsExactlyUnderEveryMask) {
+  // Every subset of live rows, several contents each: live rows hold
+  // random coefficients (zeros among them), dead rows +0.0, -0.0 or a mix.
+  // Every level must equal the dense loops by memcmp, in and out of place.
+  SplitMix64 rng(0x2E80);
+  std::size_t mismatches = 0;
+  for (unsigned mask = 0; mask < 256; ++mask) {
+    for (int rep = 0; rep < 12; ++rep) {
+      Block8x8 in{};
+      for (int j = 0; j < 8; ++j) {
+        const bool live = ((mask >> j) & 1u) != 0;
+        const std::uint64_t zeroKind = rng.below(3);
+        for (int k = 0; k < 8; ++k) {
+          double& v = in[j * 8 + k];
+          if (!live) {
+            v = zeroKind == 0   ? 0.0
+                : zeroKind == 1 ? -0.0
+                                : (rng.below(2) == 0 ? 0.0 : -0.0);
+          } else if (rng.below(3) == 0) {
+            v = rng.below(2) == 0 ? 0.0 : -0.0;
+          } else {
+            v = (static_cast<double>(rng.below(41)) - 20.0) *
+                static_cast<double>(1 + rng.below(255));
+          }
+        }
+        // A live row must hold a nonzero; force one if the draw did not.
+        if (live) {
+          bool any = false;
+          for (int k = 0; k < 8; ++k) any = any || in[j * 8 + k] != 0.0;
+          if (!any) in[j * 8 + rng.below(8)] = 1.0 + rng.uniform(0.0, 9.0);
+        }
+      }
+      const Block8x8 want = denseInverseDct(in);
+      for (Level level : availableLevels()) {
+        const KernelTable* table = tableFor(level);
+        Block8x8 got;
+        table->inverseDct8x8(in.data(), got.data());
+        Block8x8 inPlace = in;
+        table->inverseDct8x8(inPlace.data(), inPlace.data());
+        const bool same =
+            std::memcmp(got.data(), want.data(), sizeof want) == 0 &&
+            std::memcmp(inPlace.data(), want.data(), sizeof want) == 0;
+        if (!same && mismatches++ < 5) {
+          ADD_FAILURE() << levelName(level) << " diverges from the dense "
+                        << "loops under row mask 0x" << std::hex << mask;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Kernels, RgbToPlanesMatchesScalarOnEveryRgbTriple) {
+  // All 2^24 triples, one red value (65536 pixels) per call.
+  const KernelTable* scalar = tableFor(Level::kScalar);
+  constexpr std::size_t kChunk = 65536;
+  std::vector<Rgb8> px(kChunk);
+  std::vector<double> want(3 * kChunk);
+  std::vector<double> got(3 * kChunk);
+  std::size_t mismatches = 0;
+  for (int r = 0; r < 256; ++r) {
+    for (std::size_t i = 0; i < kChunk; ++i) {
+      px[i] = Rgb8{static_cast<std::uint8_t>(r),
+                   static_cast<std::uint8_t>(i >> 8),
+                   static_cast<std::uint8_t>(i)};
+    }
+    scalar->rgbToPlanes(px.data(), kChunk, want.data(), want.data() + kChunk,
+                        want.data() + 2 * kChunk);
+    for (Level level : availableLevels()) {
+      if (level == Level::kScalar) continue;
+      tableFor(level)->rgbToPlanes(px.data(), kChunk, got.data(),
+                                   got.data() + kChunk,
+                                   got.data() + 2 * kChunk);
+      if (std::memcmp(got.data(), want.data(),
+                      want.size() * sizeof(double)) != 0 &&
+          mismatches++ < 5) {
+        ADD_FAILURE() << levelName(level) << " diverges at red " << r;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Kernels, RgbToPlanesRaggedLengthsStayInBounds) {
+  const KernelTable* scalar = tableFor(Level::kScalar);
+  for (Level level : availableLevels()) {
+    for (std::size_t n : kSizes) {
+      const Image img = randomImage(n, 0x7CB + n);
+      std::vector<double> want(3 * n);
+      scalar->rgbToPlanes(img.pixels().data(), n, want.data(),
+                          want.data() + n, want.data() + 2 * n);
+      // Each plane gets one canary slot after its n doubles.
+      std::vector<double> got(3 * (n + 1), -7.25);
+      double* y = got.data();
+      double* cb = y + n + 1;
+      double* cr = cb + n + 1;
+      tableFor(level)->rgbToPlanes(img.pixels().data(), n, y, cb, cr);
+      SCOPED_TRACE(testing::Message() << levelName(level) << " n=" << n);
+      if (n > 0) {  // memcmp takes no null pointer, even for zero bytes
+        EXPECT_EQ(std::memcmp(y, want.data(), n * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(cb, want.data() + n, n * sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(cr, want.data() + 2 * n, n * sizeof(double)),
+                  0);
+      }
+      EXPECT_EQ(y[n], -7.25);
+      EXPECT_EQ(cb[n], -7.25);
+      EXPECT_EQ(cr[n], -7.25);
+    }
+  }
+}
+
+/// A luma or chroma sample near the places clamp8 rounds or clamps
+/// differently: 0 and 255, +-0.0, x.5 and one ulp either side of it, and
+/// magnitudes up to 2^1000 (finite, so no channel becomes NaN).
+double clampEdgeSample(SplitMix64& rng) {
+  const double halves[] = {0.5, 127.5, 254.5, 255.5,
+                           static_cast<double>(rng.below(256)) + 0.5};
+  switch (rng.below(7)) {
+    case 0:
+      return rng.below(2) == 0 ? 0.0 : -0.0;
+    case 1:
+      return rng.below(2) == 0 ? 255.0 : 0.0;
+    case 2: {
+      const double h = halves[rng.below(5)];
+      const std::uint64_t side = rng.below(3);
+      return side == 0 ? h
+             : side == 1 ? std::nextafter(h, -1e9)
+                         : std::nextafter(h, 1e9);
+    }
+    case 3:
+      return std::nextafter(rng.below(2) == 0 ? 255.0 : 0.0,
+                            rng.below(2) == 0 ? -1e9 : 1e9);
+    case 4:  // far outside int32, where only the clamps keep the result
+      return std::ldexp(rng.uniform(-2.0, 2.0),
+                        static_cast<int>(rng.below(1000)));
+    default:
+      return rng.uniform(-40.0, 300.0);
+  }
+}
+
+TEST(Kernels, PlanesToRgbMatchesScalarAtClampEdges) {
+  // With both chroma planes at exactly 128 every channel equals the luma
+  // sample, so the edge samples reach clamp8 unchanged; other pixels get
+  // chroma offsets, edge samples or wide values of their own.
+  const KernelTable* scalar = tableFor(Level::kScalar);
+  SplitMix64 rng(0xC1A4);
+  for (std::size_t n = 0; n <= 1000; ++n) {
+    std::vector<double> y(n);
+    std::vector<double> cb(n);
+    std::vector<double> cr(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      y[i] = clampEdgeSample(rng);
+      const bool neutral = rng.below(2) == 0;
+      cb[i] = neutral ? 128.0 : 128.0 + clampEdgeSample(rng) / 4.0;
+      cr[i] = neutral ? 128.0 : 128.0 + clampEdgeSample(rng) / 4.0;
+    }
+    std::vector<Rgb8> want(n);
+    scalar->planesToRgb(y.data(), cb.data(), cr.data(), n, want.data());
+    for (Level level : availableLevels()) {
+      std::vector<Rgb8> got(n + 1, Rgb8{0xA5, 0x5A, 0xC3});  // +1 canary
+      tableFor(level)->planesToRgb(y.data(), cb.data(), cr.data(), n,
+                                   got.data());
+      ASSERT_TRUE(std::equal(want.begin(), want.end(), got.begin()))
+          << levelName(level) << " n=" << n;
+      ASSERT_EQ(got[n], (Rgb8{0xA5, 0x5A, 0xC3}))
+          << levelName(level) << " wrote past n=" << n;
+    }
+  }
+}
+
+TEST(Kernels, PlanesToRgbIsClamp8OfTheColourEquations) {
+  // Independent spelling of the decoder's colour step for neutral chroma:
+  // every channel is clamp8(y).
+  const double ys[] = {-0.0, 0.0, 0.25, 0.5, std::nextafter(0.5, 0.0),
+                       254.5, std::nextafter(254.5, 255.0), 255.0, 300.0,
+                       -3.0};
+  for (Level level : availableLevels()) {
+    for (double v : ys) {
+      const double y[5] = {v, v, v, v, v};
+      const double c[5] = {128.0, 128.0, 128.0, 128.0, 128.0};
+      Rgb8 out[5];
+      tableFor(level)->planesToRgb(y, c, c, 5, out);
+      for (const Rgb8& p : out) {
+        EXPECT_EQ(p, (Rgb8{clamp8(v), clamp8(v), clamp8(v)}))
+            << levelName(level) << " y=" << v;
+      }
+    }
+  }
+}
+
 TEST(Kernels, ScopedLevelSwapsAndRestores) {
   const Level before = activeLevel();
   {
@@ -547,15 +765,20 @@ TEST(Kernels, PublicApiIdenticalUnderEveryLevel) {
     double clipped;
     Block8x8 fdct;
     Block8x8 idct;
+    std::vector<std::uint8_t> encoded;  // rgbToPlanes feeds the encoder
+    Image decoded;                      // planesToRgb ends the decoder
   };
   Block8x8 block;
   SplitMix64 rng(5);
   for (double& v : block) v = rng.uniform(-128.0, 127.0);
   auto snapshot = [&img, &block] {
+    const EncodedFrame frame = encodeFrame(img);
     return Snapshot{Histogram::ofImage(img), Histogram::ofMaxChannel(img),
                     analyzeLuminance(img),   lumaPlane(img),
                     compensate::clippedFraction(img, 1.9),
-                    forwardDct(block),       inverseDct(block)};
+                    forwardDct(block),       inverseDct(block),
+                    frame.bytes,
+                    decodeFrame(frame, img.width(), img.height())};
   };
   const Snapshot want = [&] {
     ScopedLevel guard(Level::kScalar);
@@ -575,6 +798,10 @@ TEST(Kernels, PublicApiIdenticalUnderEveryLevel) {
         << levelName(level);
     EXPECT_EQ(std::memcmp(got.idct.data(), want.idct.data(), sizeof want.idct),
               0)
+        << levelName(level);
+    EXPECT_EQ(got.encoded, want.encoded) << levelName(level);
+    EXPECT_TRUE(
+        std::ranges::equal(got.decoded.pixels(), want.decoded.pixels()))
         << levelName(level);
   }
 }

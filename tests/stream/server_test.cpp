@@ -9,6 +9,7 @@
 #include "media/clipgen.h"
 #include "media/luminance.h"
 #include "stream/mux.h"
+#include "telemetry/metrics.h"
 
 namespace anno::stream {
 namespace {
@@ -179,6 +180,40 @@ TEST_F(ServerTest, ServeSharedHandsOutTheMemoObject) {
   EXPECT_EQ(*a, served);
   EXPECT_EQ(server_.serve("catwoman", ipaqCaps(2)), *c);
   EXPECT_EQ(server_.serveShared("catwoman", ipaqCaps(2)).get(), c.get());
+}
+
+TEST_F(ServerTest, IngestDropsOnlyTheIngestedClipsStreams) {
+  telemetry::Registry registry;
+  server_.attachTelemetry(registry);
+  const telemetry::Counter& misses =
+      registry.counter("anno_server_cache_misses_total");
+  const SharedStream a = server_.serveShared("catwoman", ipaqCaps(2));
+  const SharedStream b = server_.serveShared("officexp", ipaqCaps(2));
+  const std::vector<std::uint8_t> servedA = *a;
+
+  // Ingesting another clip keeps catwoman's stream: same object, no miss.
+  std::vector<media::VideoClip> clips;
+  clips.push_back(
+      media::generatePaperClip(media::PaperClip::kShrek2, 0.03, 32, 24));
+  server_.addClips(std::move(clips));
+  const std::uint64_t missesBefore = misses.value();
+  EXPECT_EQ(server_.serveShared("catwoman", ipaqCaps(2)).get(), a.get());
+  EXPECT_EQ(misses.value(), missesBefore);
+
+  // Re-ingesting catwoman drops its entries only: its next serve misses
+  // and carries the new bytes, while officexp still hits.
+  clips.clear();
+  clips.push_back(
+      media::generatePaperClip(media::PaperClip::kCatwoman, 0.04, 32, 24));
+  server_.addClips(std::move(clips));
+  const SharedStream c = server_.serveShared("catwoman", ipaqCaps(2));
+  EXPECT_EQ(misses.value(), missesBefore + 1);
+  EXPECT_NE(c.get(), a.get());
+  EXPECT_NE(*c, servedA);
+  EXPECT_EQ(*a, servedA);
+  EXPECT_EQ(server_.serveShared("officexp", ipaqCaps(2)).get(), b.get());
+  EXPECT_EQ(misses.value(), missesBefore + 1);
+  server_.detachTelemetry();
 }
 
 TEST_F(ServerTest, RacingServeSharedRequestsGetOneObject) {
