@@ -93,7 +93,9 @@ class ByteReader {
   }
 
   [[nodiscard]] std::span<const std::uint8_t> bytes(std::size_t n) {
-    if (pos_ + n > data_.size()) {
+    // Compared against what is left, not as pos_ + n: a wire length near
+    // SIZE_MAX would wrap that sum past the check.
+    if (n > data_.size() - pos_) {
       throw std::out_of_range("ByteReader: underrun");
     }
     auto s = data_.subspan(pos_, n);

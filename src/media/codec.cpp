@@ -494,6 +494,11 @@ EncodedClip parseClip(std::span<const std::uint8_t> bytes) {
   clip.fps = static_cast<double>(r.varint()) / 1000.0;
   clip.quality = static_cast<int>(r.varint());
   const std::size_t nframes = r.varint();
+  // Each frame costs at least its intra flag and length bytes; a larger
+  // count is corrupt.
+  if (nframes > r.remaining()) {
+    throw std::runtime_error("parseClip: frame count exceeds payload");
+  }
   clip.frames.reserve(nframes);
   for (std::size_t i = 0; i < nframes; ++i) {
     EncodedFrame f;

@@ -99,6 +99,10 @@ ComplexityTrack ComplexityTrack::decode(std::span<const std::uint8_t> bytes) {
   media::ByteReader r(bytes);
   ComplexityTrack track;
   const std::size_t n = r.varint();
+  // Each frame's delta costs at least one byte; a larger count is corrupt.
+  if (n > r.remaining()) {
+    throw std::runtime_error("ComplexityTrack: frame count exceeds payload");
+  }
   track.frameMegacycles.reserve(n);
   std::int64_t value = 0;
   for (std::size_t i = 0; i < n; ++i) {

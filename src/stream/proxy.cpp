@@ -1,30 +1,15 @@
 #include "stream/proxy.h"
 
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "compensate/backend.h"
-#include "compensate/compensate.h"
-#include "compensate/planner.h"
-#include "core/runtime.h"
 #include "stream/mux.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace anno::stream {
-
-namespace {
-
-std::string proxyQualityRangeMessage(const char* who, std::size_t requested,
-                                     std::size_t available) {
-  return std::string(who) + ": quality index " + std::to_string(requested) +
-         " out of range: " + std::to_string(available) +
-         " level(s) offered, valid indices [0, " +
-         std::to_string(available == 0 ? 0 : available - 1) + "]";
-}
-
-}  // namespace
 
 ProxyNode::ProxyNode(core::AnnotatorConfig annotatorCfg,
                      media::CodecConfig codecCfg)
@@ -66,14 +51,6 @@ void ProxyNode::detachTrace() noexcept {
   annotatorCfg_.trace = nullptr;
 }
 
-void ProxyNode::checkQualityIndex(const char* who,
-                                  std::size_t requested) const {
-  if (requested >= annotatorCfg_.qualityLevels.size()) {
-    throw std::out_of_range(proxyQualityRangeMessage(
-        who, requested, annotatorCfg_.qualityLevels.size()));
-  }
-}
-
 ProxyNode::AnnotatedSource ProxyNode::annotateSource(
     std::span<const std::uint8_t> rawStream, int targetWidth,
     int targetHeight) const {
@@ -101,74 +78,42 @@ ProxyNode::AnnotatedSource ProxyNode::annotateSource(
 
   // Decode incrementally, annotate causally -- the client-independent half
   // of a transcode, run exactly once no matter how many clients subscribe.
+  // The per-frame stats feed the engine and then the sketch rider.
   OnlineAnnotator annotator(annotatorCfg_);
-  std::vector<media::Image> decoded;
-  decoded.reserve(resize ? in.video.frames.size() : 0);
-  const auto emitScene = [&out](const core::SceneAnnotation& scene) {
-    out.track.scenes.push_back(scene);
-  };
+  std::vector<media::FrameStats> stats;
+  stats.reserve(in.video.frames.size());
+  // When resizing, the previous full-size frame is the P-frame reference.
+  std::optional<media::Image> fullSizeRef;
   const double frameSeconds = in.video.fps > 0.0 ? 1.0 / in.video.fps : 0.0;
-  std::size_t frameIndex = 0;
   for (const media::EncodedFrame& ef : in.video.frames) {
     telemetry::traceSetMediaTime(
-        trace_, static_cast<double>(frameIndex++) * frameSeconds);
+        trace_, static_cast<double>(stats.size()) * frameSeconds);
     const media::Image* ref =
-        resize ? (decoded.empty() ? nullptr : &decoded.back())
+        resize ? (fullSizeRef ? &*fullSizeRef : nullptr)
                : (out.base.frames.empty() ? nullptr : &out.base.frames.back());
     media::Image frame =
         media::decodeFrame(ef, in.video.width, in.video.height, ref);
     if (resize) {
-      // Keep the full-size frame as the P-frame reference; annotate and
-      // forward the resampled one (luminance statistics are resolution-
-      // invariant, so annotations remain valid -- tested).
-      decoded.push_back(frame);
+      // Annotate and forward the resampled frame (luminance statistics are
+      // resolution-invariant, so annotations remain valid -- tested).
       media::Image scaled =
           media::resizeBilinear(frame, targetWidth, targetHeight);
-      if (auto scene = annotator.push(media::profileFrame(scaled))) {
-        emitScene(*scene);
-      }
-      out.base.frames.push_back(std::move(scaled));
-      continue;
+      fullSizeRef = std::move(frame);
+      frame = std::move(scaled);
     }
+    stats.push_back(media::profileFrame(frame));
     out.base.frames.push_back(std::move(frame));
-    if (auto scene = annotator.push(media::profileFrame(out.base.frames.back()))) {
-      emitScene(*scene);
+    if (auto scene = annotator.push(stats.back())) {
+      out.track.scenes.push_back(*scene);
     }
   }
-  if (auto scene = annotator.flush()) emitScene(*scene);
+  if (auto scene = annotator.flush()) out.track.scenes.push_back(*scene);
   telemetry::traceClearMediaTime(trace_);
   telemetry::inc(metrics_.framesReannotated, out.base.frames.size());
   telemetry::inc(metrics_.scenesReannotated, out.track.scenes.size());
   core::validateTrack(out.track);
+  out.sketches = core::buildSketchTrack(out.track, stats);
   return out;
-}
-
-std::vector<std::uint8_t> ProxyNode::renderForClient(
-    const AnnotatedSource& source, const ClientCapabilities& caps) const {
-  const display::DeviceModel device = deviceFromCapabilities(caps);
-  // Like the server: emissive clients must not receive brightened pixels.
-  const bool applyGain = caps.technology == DisplayTechnology::kBacklitLcd;
-  media::VideoClip outClip;
-  outClip.name = source.base.name;
-  outClip.fps = source.base.fps;
-  outClip.frames.reserve(source.base.frames.size());
-  const std::unique_ptr<const compensate::Backend> backend =
-      core::backendForTrack(source.track);
-  for (std::size_t si = 0; si < source.track.scenes.size(); ++si) {
-    const core::SceneAnnotation& scene = source.track.scenes[si];
-    const compensate::CompensationDecision decision = core::decideForScene(
-        *backend, source.track, si, caps.qualityIndex, device,
-        caps.minBacklightLevel);
-    for (std::uint32_t f = scene.span.firstFrame; f <= scene.span.lastFrame();
-         ++f) {
-      outClip.frames.push_back(applyGain
-                                   ? backend->apply(source.base.frames[f],
-                                                    decision)
-                                   : source.base.frames[f]);
-    }
-  }
-  const media::EncodedClip encoded = media::encodeClip(outClip, codecCfg_);
-  return mux(encoded, &source.track);
 }
 
 std::vector<std::uint8_t> ProxyNode::transcode(
@@ -177,10 +122,12 @@ std::vector<std::uint8_t> ProxyNode::transcode(
   telemetry::inc(metrics_.transcodes);
   telemetry::Span transcodeSpan(metrics_.transcodeSeconds);
   telemetry::TraceSpan traceSpan(trace_, "transcode", "proxy");
-  checkQualityIndex("ProxyNode::transcode", caps.qualityIndex);
+  checkQualityIndex("ProxyNode::transcode", caps.qualityIndex,
+                    annotatorCfg_.qualityLevels.size());
   const AnnotatedSource source =
       annotateSource(rawStream, targetWidth, targetHeight);
-  std::vector<std::uint8_t> bytes = renderForClient(source, caps);
+  std::vector<std::uint8_t> bytes = renderStream(
+      source.base, source.track, source.sketches, caps, codecCfg_);
   traceSpan.end(
       {{"frames", static_cast<double>(source.base.frames.size())},
        {"scenes", static_cast<double>(source.track.scenes.size())},
@@ -200,7 +147,8 @@ FanoutResult ProxyNode::transcodeFanout(
   telemetry::TraceSpan traceSpan(trace_, "fanout", "proxy");
   // Validate every subscriber before paying for the shared pass.
   for (const ClientCapabilities& caps : clients) {
-    checkQualityIndex("ProxyNode::transcodeFanout", caps.qualityIndex);
+    checkQualityIndex("ProxyNode::transcodeFanout", caps.qualityIndex,
+                      annotatorCfg_.qualityLevels.size());
   }
   FanoutResult result;
   result.streams.resize(clients.size());
@@ -222,7 +170,8 @@ FanoutResult ProxyNode::transcodeFanout(
   }
   for (const auto& [capsBytes, indices] : groups) {
     std::vector<std::uint8_t> bytes =
-        renderForClient(source, clients[indices.front()]);
+        renderStream(source.base, source.track, source.sketches,
+                     clients[indices.front()], codecCfg_);
     for (std::size_t j = 1; j < indices.size(); ++j) {
       result.streams[indices[j]] = bytes;
     }

@@ -12,6 +12,11 @@
 // stored content the causal pass produces exactly the same scene partition
 // as the server's offline pass (tested byte-for-byte in tests/engine),
 // because the offline pass IS the same engine fed in frame order.
+//
+// Only that annotation half is the proxy's own.  The per-client render is
+// stream::renderStream, the same function MediaServer::serve calls, so a
+// proxied stream carries everything a served one does: the annotation
+// track, the decode-complexity rider and the per-scene sketch rider.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +67,9 @@ class ProxyNode {
                      media::CodecConfig codecCfg = {});
 
   /// Transcodes `rawStream` (video-only container from serveRaw) into an
-  /// annotated, compensated container for `caps`.  When `targetWidth` /
+  /// annotated, compensated container for `caps`: renderStream over the
+  /// decoded source, so the container carries the annotation, complexity
+  /// and sketch sections like a served one.  When `targetWidth` /
   /// `targetHeight` are nonzero, frames are also resampled to that
   /// resolution -- the data-shaping role of the Fig. 1 proxy for clients
   /// with smaller screens (smaller frames also shrink the stream and the
@@ -115,24 +122,20 @@ class ProxyNode {
     telemetry::Counter* fanoutSharedRenders = nullptr;
   };
 
-  /// One decoded + causally annotated source: everything client-independent.
+  /// One decoded + causally annotated source: everything client-independent,
+  /// i.e. the inputs of renderStream.
   struct AnnotatedSource {
     media::VideoClip base;        ///< decoded (and, if requested, resized)
     core::AnnotationTrack track;  ///< the single shared engine pass's output
+    core::SketchTrack sketches;   ///< from the stats that pass profiled
   };
 
   /// Runs the shared half of a transcode: demux, incremental decode (with
-  /// optional resampling), causal annotation.  Exactly one engine pass.
+  /// optional resampling), causal annotation, sketches.  Exactly one engine
+  /// pass; the per-client half is renderStream.
   [[nodiscard]] AnnotatedSource annotateSource(
       std::span<const std::uint8_t> rawStream, int targetWidth,
       int targetHeight) const;
-
-  /// Runs the per-client half: scene-by-scene compensation for the client's
-  /// device (skipped for emissive panels), encode, mux.
-  [[nodiscard]] std::vector<std::uint8_t> renderForClient(
-      const AnnotatedSource& source, const ClientCapabilities& caps) const;
-
-  void checkQualityIndex(const char* who, std::size_t requested) const;
 
   core::AnnotatorConfig annotatorCfg_;
   media::CodecConfig codecCfg_;

@@ -20,14 +20,6 @@ std::uint64_t nextServerId() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-std::string qualityRangeMessage(const char* who, std::size_t requested,
-                                std::size_t available) {
-  return std::string(who) + ": quality index " + std::to_string(requested) +
-         " out of range: " + std::to_string(available) +
-         " level(s) offered, valid indices [0, " +
-         std::to_string(available == 0 ? 0 : available - 1) + "]";
-}
-
 }  // namespace
 
 void MediaServer::attachTelemetry(telemetry::Registry& registry) {
@@ -216,10 +208,7 @@ SharedStream MediaServer::serveImpl(const std::string& clipName,
   const std::size_t offered = isDefaultConfig
                                   ? e.track.qualityLevels.size()
                                   : tenantCfg.qualityLevels.size();
-  if (caps.qualityIndex >= offered) {
-    throw std::out_of_range(
-        qualityRangeMessage("MediaServer::serve", caps.qualityIndex, offered));
-  }
+  checkQualityIndex("MediaServer::serve", caps.qualityIndex, offered);
   // Exact memoization key: clip name + annotator fingerprint + the
   // negotiation message verbatim.  Identical devices negotiate identical
   // bytes, so a device fleet shares one cached stream; any capability or
@@ -253,24 +242,8 @@ SharedStream MediaServer::serveImpl(const std::string& clipName,
       isDefaultConfig ? e.track : tenantTrack->track;
   const core::SketchTrack& sketches =
       isDefaultConfig ? e.sketches : tenantTrack->sketches;
-  // Emissive panels must not receive brightened pixels (compensation would
-  // RAISE their power); they get the original stream plus the annotations.
-  const bool compensate =
-      caps.technology == DisplayTechnology::kBacklitLcd;
-  const display::DeviceModel device = deviceFromCapabilities(caps);
-  const media::VideoClip compensated =
-      compensate
-          ? core::compensateClip(e.original, track, caps.qualityIndex,
-                                 device, caps.minBacklightLevel)
-          : e.original;
-  const media::EncodedClip encoded = media::encodeClip(compensated, codecCfg_);
-  // Decode-workload annotations come for free once the clip is encoded
-  // (sizes are known before any client decodes a byte) -- Sec. 3's "more
-  // optimizations" rider.
-  const power::ComplexityTrack complexity =
-      power::ComplexityTrack::fromEncodedClip(encoded);
   std::vector<std::uint8_t> bytes =
-      mux(encoded, &track, &complexity, &sketches);
+      renderStream(e.original, track, sketches, caps, codecCfg_);
   // The memo keeps the stream until the next ingest: drop mux's growth
   // slack so a stored stream costs its size, not its capacity.
   bytes.shrink_to_fit();
@@ -301,6 +274,37 @@ display::DeviceModel deviceFromCapabilities(const ClientCapabilities& caps) {
   device.name = caps.deviceName;
   device.transfer = caps.transfer;
   return device;
+}
+
+std::vector<std::uint8_t> renderStream(const media::VideoClip& source,
+                                       const core::AnnotationTrack& track,
+                                       const core::SketchTrack& sketches,
+                                       const ClientCapabilities& caps,
+                                       const media::CodecConfig& codecCfg) {
+  const media::EncodedClip encoded =
+      caps.technology == DisplayTechnology::kBacklitLcd
+          ? media::encodeClip(
+                core::compensateClip(source, track, caps.qualityIndex,
+                                     deviceFromCapabilities(caps),
+                                     caps.minBacklightLevel),
+                codecCfg)
+          : media::encodeClip(source, codecCfg);
+  // Decode-workload annotations come for free once the clip is encoded
+  // (sizes are known before any client decodes a byte) -- Sec. 3's "more
+  // optimizations" rider.
+  const power::ComplexityTrack complexity =
+      power::ComplexityTrack::fromEncodedClip(encoded);
+  return mux(encoded, &track, &complexity, &sketches);
+}
+
+void checkQualityIndex(const char* who, std::size_t requested,
+                       std::size_t offered) {
+  if (requested < offered) return;
+  throw std::out_of_range(
+      std::string(who) + ": quality index " + std::to_string(requested) +
+      " out of range: " + std::to_string(offered) +
+      " level(s) offered, valid indices [0, " +
+      std::to_string(offered == 0 ? 0 : offered - 1) + "]");
 }
 
 namespace {

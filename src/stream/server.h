@@ -217,6 +217,25 @@ class MediaServer {
 [[nodiscard]] display::DeviceModel deviceFromCapabilities(
     const ClientCapabilities& caps);
 
+/// The per-client render both Fig. 1 nodes share ("either the proxy or the
+/// server node suffices"): compensates `source` scene by scene for the
+/// negotiated device and quality (backlit LCDs only -- emissive panels get
+/// the original pixels, since brightening would RAISE their power), encodes
+/// it, derives the decode-complexity rider from the encoded sizes, and muxes
+/// video + `track` + complexity + `sketches`.  MediaServer::serve and
+/// ProxyNode::transcode return exactly these bytes for their inputs.  The
+/// caller checks `caps.qualityIndex` against the track's ladder first.
+[[nodiscard]] std::vector<std::uint8_t> renderStream(
+    const media::VideoClip& source, const core::AnnotationTrack& track,
+    const core::SketchTrack& sketches, const ClientCapabilities& caps,
+    const media::CodecConfig& codecCfg);
+
+/// Throws std::out_of_range unless `requested` < `offered`, naming `who`,
+/// the requested index and the valid range -- the negotiation check both
+/// nodes run before rendering.
+void checkQualityIndex(const char* who, std::size_t requested,
+                       std::size_t offered);
+
 /// Wire format for the negotiation message (paper Sec. 4.3: "client
 /// characteristics are sent during the initial negotiation phase").  The
 /// transfer LUT travels as 256 16-bit fixed-point samples (~515 bytes

@@ -4,11 +4,15 @@
 // coefficients beyond the int range, and a DC prediction that overflows
 // int.  Every one must be rejected by media::decodeFrame with an exception,
 // and must leave ClientSession::receive with ok == false -- never a crash.
-// Run under -DANNO_SANITIZE=address (the `fault` label) to prove no out of
-// bounds access happens before the rejection.
+// The container-level cases declare lengths near SIZE_MAX (which wrapped a
+// `position + length` bounds check) and element counts far beyond the
+// payload (which asked reserve() for terabytes); each must throw before it
+// reads or allocates.  Run under -DANNO_SANITIZE=address (the `fault` label)
+// to prove no out of bounds access happens before the rejection.
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -16,6 +20,7 @@
 #include "media/bitstream.h"
 #include "media/clipgen.h"
 #include "media/codec.h"
+#include "power/dvfs.h"
 #include "stream/client.h"
 #include "stream/mux.h"
 #include "stream/server.h"
@@ -124,6 +129,113 @@ TEST(CraftedVarint, ClientReceiveReportsUndecodableWithoutCrashing) {
   ASSERT_NO_THROW(got = client.receive(crafted));
   EXPECT_FALSE(got.ok);
   EXPECT_FALSE(got.error.empty());
+}
+
+/// `bytes` with the one-byte varint at `offset` replaced by `value`.
+std::vector<std::uint8_t> withVarintAt(const std::vector<std::uint8_t>& bytes,
+                                       std::size_t offset,
+                                       std::uint64_t value) {
+  EXPECT_LT(bytes.at(offset), 0x80) << "not a one-byte varint";
+  ByteWriter w;
+  w.bytes(std::span(bytes).first(offset));
+  w.varint(value);
+  w.bytes(std::span(bytes).subspan(offset + 1));
+  return w.take();
+}
+
+/// A one-frame clip whose serialized form ends in the frame's 3 bytes.
+EncodedClip tinyClip() {
+  EncodedClip clip;
+  clip.name = "x";
+  clip.width = 8;
+  clip.height = 8;
+  clip.fps = 30.0;
+  clip.quality = 75;
+  clip.frames.push_back(EncodedFrame{{1, 2, 3}, true});
+  return clip;
+}
+
+constexpr std::uint64_t kWrapping[] = {SIZE_MAX, SIZE_MAX - 2, SIZE_MAX - 4};
+
+TEST(CraftedVarint, WrappingSectionLengthThrowsFromDemux) {
+  // Container magic and video section id, then a length near SIZE_MAX over
+  // 32 zero bytes.  Taken as a span, the zeros would only fail parseClip's
+  // magic check (std::runtime_error); the length must be rejected first.
+  const std::vector<std::uint8_t> valid = stream::mux(tinyClip());
+  ASSERT_NO_THROW((void)stream::demux(valid));
+  for (const std::uint64_t len : kWrapping) {
+    ByteWriter w;
+    w.bytes(std::span(valid).first(5));
+    w.varint(len);
+    w.bytes(std::vector<std::uint8_t>(32, 0));
+    EXPECT_THROW((void)stream::demux(w.data()), std::out_of_range) << len;
+  }
+}
+
+TEST(CraftedVarint, WrappingFramePayloadLengthThrowsFromParseClip) {
+  // The last frame's length varint sits just before its 3 payload bytes.
+  const std::vector<std::uint8_t> clip = serializeClip(tinyClip());
+  ASSERT_NO_THROW((void)parseClip(clip));
+  for (const std::uint64_t len : kWrapping) {
+    EXPECT_THROW((void)parseClip(withVarintAt(clip, clip.size() - 4, len)),
+                 std::out_of_range)
+        << len;
+  }
+}
+
+TEST(CraftedVarint, WrappingDeviceNameLengthThrowsFromDecodeCapabilities) {
+  // Negotiation message: magic (4 bytes), then the name length.
+  stream::ClientCapabilities caps;
+  caps.transfer = display::TransferFunction::linear();
+  const std::vector<std::uint8_t> msg = stream::encodeCapabilities(caps);
+  ASSERT_NO_THROW((void)stream::decodeCapabilities(msg));
+  for (const std::uint64_t len : kWrapping) {
+    EXPECT_THROW(
+        (void)stream::decodeCapabilities(withVarintAt(msg, 4, len)),
+        std::out_of_range)
+        << len;
+  }
+}
+
+TEST(CraftedVarint, WrappingSketchRleLengthThrows) {
+  // Sketch payload: scene count, RLE length, RLE bytes.
+  const std::vector<std::uint8_t> payload =
+      core::SketchTrack{{core::SceneSketch{}}}.encode();
+  ASSERT_NO_THROW((void)core::SketchTrack::decode(payload));
+  for (const std::uint64_t len : kWrapping) {
+    EXPECT_THROW(
+        (void)core::SketchTrack::decode(withVarintAt(payload, 1, len)),
+        std::out_of_range)
+        << len;
+  }
+}
+
+TEST(CraftedVarint, CountBeyondPayloadThrowsBeforeReserving) {
+  // Every complexity delta and every clip frame costs at least one byte,
+  // so a count above the bytes left is rejected before reserve() -- these
+  // counts would otherwise ask for terabytes.
+  for (const std::uint64_t n : {std::uint64_t{3}, std::uint64_t{1} << 40,
+                                std::uint64_t{SIZE_MAX}}) {
+    ByteWriter w;
+    w.varint(n);
+    w.svarint(1);
+    w.svarint(1);
+    EXPECT_THROW((void)power::ComplexityTrack::decode(w.data()),
+                 std::runtime_error)
+        << n;
+    EncodedClip empty = tinyClip();
+    empty.frames.clear();
+    const std::vector<std::uint8_t> clip = serializeClip(empty);
+    EXPECT_THROW((void)parseClip(withVarintAt(clip, clip.size() - 1, n)),
+                 std::runtime_error)
+        << n;
+  }
+  ByteWriter exact;
+  exact.varint(2);
+  exact.svarint(1);
+  exact.svarint(1);
+  EXPECT_EQ(power::ComplexityTrack::decode(exact.data()).frameMegacycles.size(),
+            2u);
 }
 
 }  // namespace

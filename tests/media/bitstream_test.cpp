@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 
 #include "media/rng.h"
@@ -119,6 +120,20 @@ TEST(ByteReader, BytesSpanAndPosition) {
   EXPECT_EQ(s[1], 2);
   EXPECT_EQ(r.position(), 2u);
   EXPECT_EQ(r.remaining(), 1u);
+}
+
+TEST(ByteReader, WrappingLengthsThrowAndKeepPosition) {
+  // Lengths near SIZE_MAX, as a wire varint can declare them: position +
+  // length wraps, so only a comparison against what is left catches them.
+  const std::vector<std::uint8_t> buf(16, 0);
+  for (const std::size_t n :
+       {SIZE_MAX, SIZE_MAX - 4, SIZE_MAX - 9, std::size_t{7}}) {
+    ByteReader r(buf);
+    (void)r.bytes(10);
+    EXPECT_THROW((void)r.bytes(n), std::out_of_range) << n;
+    EXPECT_EQ(r.position(), 10u) << n;
+    EXPECT_EQ(r.bytes(6).size(), 6u) << n;
+  }
 }
 
 TEST(Rle, RoundtripRandom) {

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "core/sketch.h"
 #include "media/clipgen.h"
+#include "media/crc32.h"
+#include "power/dvfs.h"
 #include "stream/mux.h"
 #include "stream/server.h"
 
@@ -177,6 +183,62 @@ TEST(Proxy, ResizedAnnotationsStayClose) {
   // lower peaks slightly at 16x12).
   EXPECT_NEAR(a.annotations->scenes[0].safeLuma[0],
               b.annotations->scenes[0].safeLuma[0], 25.0);
+}
+
+TEST(Proxy, ProxiedStreamsCarryTheServedRiders) {
+  // Server and proxy render through one renderStream, so a proxied stream
+  // carries the same riders as a served one: the complexity track of its
+  // own video and the sketches of the frames the proxy profiled.  The video
+  // sections are pinned by CRC32 of serializeClip, captured before the
+  // riders were added: adding them must not move a video byte.
+  struct Size {
+    int width;
+    int height;
+    std::vector<std::uint32_t> videoCrcs;  ///< parallel to `clients`
+  };
+  const std::vector<Size> sizes = {
+      {0, 0, {0xbd4e99f6, 0x0072b93c, 0x48475a37, 0x3df45e5e}},
+      {16, 12, {0x23efcb32, 0xb59ab112, 0x74dfe73d, 0xab1dc71b}},
+  };
+  std::vector<ClientCapabilities> clients = {ipaqCaps(2), ipaqCaps(4)};
+  ClientCapabilities oled = ipaqCaps(4);
+  oled.technology = DisplayTechnology::kEmissive;
+  clients.push_back(oled);
+  ClientCapabilities floor = ipaqCaps(4);
+  floor.minBacklightLevel = 200;
+  clients.push_back(floor);
+
+  const media::VideoClip clip = testClip();
+  MediaServer server;
+  server.addClip(clip);
+  const auto raw = server.serveRaw(clip.name);
+  const media::VideoClip base = media::decodeClip(demux(raw).video);
+  const ProxyNode proxy;
+  for (const Size& size : sizes) {
+    std::vector<media::FrameStats> stats;
+    for (const media::Image& frame : base.frames) {
+      stats.push_back(media::profileFrame(
+          size.width > 0
+              ? media::resizeBilinear(frame, size.width, size.height)
+              : frame));
+    }
+    const FanoutResult fanout =
+        proxy.transcodeFanout(raw, clients, size.width, size.height);
+    ASSERT_EQ(fanout.streams.size(), clients.size());
+    for (std::size_t i = 0; i < clients.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << size.width << "x" << size.height
+                                      << " client " << i);
+      const DemuxedStream d = demux(fanout.streams[i]);
+      EXPECT_EQ(media::crc32(media::serializeClip(d.video)),
+                size.videoCrcs[i]);
+      ASSERT_TRUE(d.annotations.has_value());
+      ASSERT_TRUE(d.complexity.has_value());
+      ASSERT_TRUE(d.sketches.has_value());
+      EXPECT_EQ(d.complexity->encode(),
+                power::ComplexityTrack::fromEncodedClip(d.video).encode());
+      EXPECT_EQ(*d.sketches, core::buildSketchTrack(*d.annotations, stats));
+    }
+  }
 }
 
 TEST(Proxy, ResizeValidation) {

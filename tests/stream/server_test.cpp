@@ -235,6 +235,37 @@ TEST_F(ServerTest, RacingServeSharedRequestsGetOneObject) {
             got.front().get());
 }
 
+TEST(Server, ServeIsRenderStreamOfTheResolvedTrack) {
+  // serve() is the memo around renderStream: for backlit and emissive
+  // clients, under the default and a tenant config, the served bytes are
+  // renderStream over the original with that config's track and sketches.
+  // A non-default codec config shows the server passes its own through.
+  media::CodecConfig codec;
+  codec.quality = 60;
+  codec.gopLength = 4;
+  MediaServer server({}, codec);
+  server.addClip(
+      media::generatePaperClip(media::PaperClip::kCatwoman, 0.03, 32, 24));
+  const CatalogEntry& e = server.entry("catwoman");
+  core::AnnotatorConfig tenant;
+  tenant.granularity = core::Granularity::kPerFrame;
+  const core::AnnotationTrack tenantTrack =
+      core::annotateClip(e.original, tenant);
+  const core::SketchTrack tenantSketches =
+      core::buildSketchTrack(tenantTrack, e.stats);
+  ClientCapabilities oled = ipaqCaps(1);
+  oled.technology = DisplayTechnology::kEmissive;
+  for (const ClientCapabilities& caps : {ipaqCaps(2), oled}) {
+    SCOPED_TRACE(caps.technology == DisplayTechnology::kEmissive ? "emissive"
+                                                                 : "backlit");
+    EXPECT_EQ(server.serve("catwoman", caps),
+              renderStream(e.original, e.track, e.sketches, caps, codec));
+    EXPECT_EQ(server.serve("catwoman", caps, tenant),
+              renderStream(e.original, tenantTrack, tenantSketches, caps,
+                           codec));
+  }
+}
+
 TEST(Server, RejectsInvalidClip) {
   MediaServer server;
   media::VideoClip bad;
